@@ -8,6 +8,7 @@
    experiment does not pay for the other build. *)
 
 module Engine = Topo_core.Engine
+module Request = Topo_core.Request
 module Query = Topo_core.Query
 module Ranking = Topo_core.Ranking
 module Store = Topo_core.Store

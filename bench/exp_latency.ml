@@ -35,33 +35,6 @@ let max_queue = 64
 let zipf_s = 1.0
 let rate_fractions = [ 0.4; 0.8; 1.6 ]
 
-(* The serve bench's mixed workload: all nine methods over a keyword /
-   selectivity grid on two entity-set pairs. *)
-let base_workload engine =
-  let catalog = (engine : Engine.t).Engine.ctx.Topo_core.Context.catalog in
-  let schemes = [ Ranking.Freq; Ranking.Rare; Ranking.Domain ] in
-  let pd_queries =
-    List.map
-      (fun kw ->
-        Query.make
-          (if kw = "" then Query.endpoint catalog "Protein"
-           else Query.keyword catalog "Protein" ~col:"desc" ~kw)
-          (Query.endpoint catalog "DNA"))
-      [ "kinase"; "enzyme"; "" ]
-  in
-  let pi_queries =
-    List.map
-      (fun (sel, _) -> grid_query catalog ~protein_sel:sel ~interaction_sel:sel)
-      selectivities
-  in
-  let queries = pd_queries @ pi_queries in
-  List.concat_map
-    (fun method_ ->
-      List.mapi
-        (fun i q -> Serve.request ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
-        queries)
-    Engine.all_methods
-
 (* Closed-loop calibration: the batch throughput at full parallelism
    anchors the open-loop rate sweep to this machine's capacity. *)
 let calibrate engine base =
@@ -98,7 +71,7 @@ let fmt_rate = function Some r -> Printf.sprintf "%.1f" r | None -> "-"
 let run () =
   Console.section "Latency — open-loop load at a sweep of arrival rates";
   let engine, _ = engine_l3 () in
-  let base = base_workload engine in
+  let base = Exp_serve.mixed_workload engine in
   let base_qps = calibrate engine base in
   (* Floor each point's rate so its arrival schedule spans <= ~30 s. *)
   let min_rate = float_of_int requests_per_point /. 30.0 in
@@ -131,7 +104,7 @@ let run () =
         let h = Hdr.create () in
         List.iter
           (fun (t : Serve.timed) ->
-            match Topo_core.Request.answered t.Serve.timed_outcome.Serve.result with
+            match Topo_core.Request.answered t.Serve.timed_outcome.Request.result with
             | Some _ -> Hdr.record h (int_of_float (t.Serve.latency_s *. 1e9))
             | None -> ())
           timed;

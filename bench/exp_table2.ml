@@ -101,7 +101,7 @@ let run () =
         (fun scheme ->
           let r = Engine.run engine q ~method_:Engine.Fast_top_k_opt ~scheme ~k () in
           let choice =
-            match r.Engine.strategy with
+            match r.Request.strategy with
             | Some Topo_sql.Optimizer.Regular -> "regular (Fast-Top-k)"
             | Some Topo_sql.Optimizer.Early_termination -> "DGJ stack (Fast-Top-k-ET)"
             | None -> "?"

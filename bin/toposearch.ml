@@ -16,6 +16,7 @@
 
 open Cmdliner
 module Engine = Topo_core.Engine
+module Request = Topo_core.Request
 module Query = Topo_core.Query
 module Ranking = Topo_core.Ranking
 module Nquery = Topo_core.Nquery
@@ -93,7 +94,7 @@ let demo () =
   let r = Engine.run engine q ~method_:Engine.Full_top () in
   List.iter
     (fun (tid, _) -> Printf.printf "TID %d: %s\n" tid (Engine.describe engine tid))
-    r.Engine.ranked;
+    r.Request.ranked;
   Printf.printf "\n(these are the paper's four results T1-T4: the encodes path, the P-U-D path,\n";
   Printf.printf "and the two complex topologies of the pair (78, 215))\n";
   0
@@ -222,6 +223,10 @@ let scheme_conv =
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Ranking.name s))
 
 let query_run scale seed l threshold t1 t2 kw1 kw2 dna_type method_ scheme k instances =
+  if k < 1 then begin
+    Printf.eprintf "query: --topk must be at least 1 (got %d)\n" k;
+    exit 2
+  end;
   let catalog = make_instance scale seed in
   let engine = build_engine catalog ~t1 ~t2 ~l ~threshold in
   let endpoint entity kw extra_type =
@@ -254,9 +259,9 @@ let query_run scale seed l threshold t1 t2 kw1 kw2 dna_type method_ scheme k ins
       (fun i (tid, score) ->
         let score_str = match score with Some s -> Printf.sprintf " [score %.3g]" s | None -> "" in
         Printf.printf "%2d. TID %d%s\n    %s\n" (i + 1) tid score_str (Engine.describe engine tid))
-      r.Engine.ranked;
-  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Engine.ranked) (r.Engine.elapsed_s *. 1000.0);
-  (match r.Engine.strategy with
+      r.Request.ranked;
+  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Request.ranked) (r.Request.elapsed_s *. 1000.0);
+  (match r.Request.strategy with
   | Some Topo_sql.Optimizer.Regular -> print_endline "optimizer chose: regular plan"
   | Some Topo_sql.Optimizer.Early_termination -> print_endline "optimizer chose: DGJ early-termination plan"
   | None -> ());
@@ -549,7 +554,7 @@ let profile_run scale seed l threshold t1 t2 kw1 kw2 method_ scheme k json_out =
   let trace = Obs.Trace.create () in
   let r = Engine.run engine q ~method_ ~scheme ~k ~trace () in
   print_string (Obs.Trace.to_text trace);
-  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Engine.ranked) (r.Engine.elapsed_s *. 1000.0);
+  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Request.ranked) (r.Request.elapsed_s *. 1000.0);
   (match json_out with
   | Some path ->
       write_file path (Obs.Json.to_string ~pretty:true (Obs.Trace.to_json trace));
@@ -609,15 +614,15 @@ let parse_workload_line catalog ~t1 ~t2 lineno line =
           | None -> malformed ("unknown scheme " ^ get 0)
           | Some scheme -> (
               match if get 1 = "" then Some 10 else int_of_string_opt (get 1) with
-              | None -> malformed ("bad k " ^ get 1)
-              | Some k ->
+              | Some k when k >= 1 ->
                   let ep entity kw =
                     if kw = "" then Query.endpoint catalog entity
                     else Query.keyword catalog entity ~col:"desc" ~kw
                   in
                   `Request
-                    (Serve.request ~scheme ~k method_
-                       (Query.make (ep t1 (get 2)) (ep t2 (get 3)))))))
+                    (Request.make ~scheme ~k method_
+                       (Query.make (ep t1 (get 2)) (ep t2 (get 3))))
+              | Some _ | None -> malformed ("bad k " ^ get 1))))
 
 (* Returns the parsed requests plus the count of malformed lines skipped. *)
 let read_workload catalog ~t1 ~t2 path =
@@ -650,9 +655,26 @@ let default_workload catalog ~t1 ~t2 =
         (fun i kw1 ->
           let e1 = if kw1 = "" then Query.endpoint catalog t1 else Query.keyword catalog t1 ~col:"desc" ~kw:kw1 in
           let e2 = Query.endpoint catalog t2 in
-          Serve.request ~scheme:schemes.(i mod 3) ~k:10 method_ (Query.make e1 e2))
+          Request.make ~scheme:schemes.(i mod 3) ~k:10 method_ (Query.make e1 e2))
         [ "kinase"; "enzyme"; "" ])
     Engine.all_methods
+
+(* The batch [serve] and [route] run: the workload file (or the default
+   mix) repeated [repeat] times.  Reports skipped lines and exits 2 on an
+   empty workload.  Also returns the un-repeated base batch. *)
+let load_requests catalog ~t1 ~t2 ~file ~repeat =
+  let base, skipped =
+    match file with
+    | Some path -> read_workload catalog ~t1 ~t2 path
+    | None -> (default_workload catalog ~t1 ~t2, 0)
+  in
+  if skipped > 0 then
+    Printf.printf "skipped %d malformed line%s\n" skipped (if skipped = 1 then "" else "s");
+  if base = [] then begin
+    prerr_endline "empty workload";
+    exit 2
+  end;
+  (base, List.concat (List.init (max 1 repeat) (fun _ -> base)))
 
 (* Open-loop serving behind `serve --rate`: arrivals uniformly spaced at
    the offered rate, bounded admission queue, per-request wall deadlines,
@@ -675,7 +697,7 @@ let serve_open engine ~jobs ~traces ~cache ~max_queue ~deadline_s ~rate requests
   let hdr = Topo_util.Hdr.create () in
   List.iter
     (fun (t : Serve.timed) ->
-      match t.Serve.timed_outcome.Serve.result with
+      match t.Serve.timed_outcome.Request.result with
       | Topo_core.Request.Done _ | Topo_core.Request.Partial _ ->
           Topo_util.Hdr.record hdr (int_of_float (t.Serve.latency_s *. 1e9))
       | Topo_core.Request.Rejected _ | Topo_core.Request.Failed _ -> ())
@@ -699,19 +721,8 @@ let serve_open engine ~jobs ~traces ~cache ~max_queue ~deadline_s ~rate requests
 let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces check use_cache cache_size deadline_ms max_queue rate =
   let engine = engine_of ~snapshot ~scale ~seed ~l ~threshold ~t1 ~t2 in
   let catalog = engine.Engine.ctx.Topo_core.Context.catalog in
-  let base, skipped =
-    match file with
-    | Some path -> read_workload catalog ~t1 ~t2 path
-    | None -> (default_workload catalog ~t1 ~t2, 0)
-  in
-  if skipped > 0 then
-    Printf.printf "skipped %d malformed line%s\n" skipped (if skipped = 1 then "" else "s");
-  if base = [] then begin
-    prerr_endline "empty workload";
-    exit 2
-  end;
+  let base, requests = load_requests catalog ~t1 ~t2 ~file ~repeat in
   let cache = if use_cache then Some (Engine.cache ~results:cache_size engine) else None in
-  let requests = List.concat (List.init (max 1 repeat) (fun _ -> base)) in
   let deadline_s = Option.map (fun ms -> ms /. 1000.0) deadline_ms in
   match rate with
   | Some r when r > 0.0 ->
@@ -736,40 +747,40 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
     | Some d ->
         let cutoff = Unix.gettimeofday () +. d in
         List.map
-          (fun (rq : Serve.request) -> { rq with Serve.deadline = Some (Topo_core.Budget.Wall cutoff) })
+          (fun (rq : Request.t) -> { rq with Request.deadline = Some (Topo_core.Budget.Wall cutoff) })
           requests
   in
   let served = Serve.exec (Serve.config ?jobs ~traces ?cache ()) engine requests in
   let outcomes = served.Serve.outcomes and stats = served.Serve.stats in
   List.iteri
-    (fun i (o : Serve.outcome) ->
+    (fun i (o : Request.outcome) ->
       if i < List.length base then
-        match o.Serve.result with
+        match o.Request.result with
         | Topo_core.Request.Done r | Topo_core.Request.Partial r ->
             Printf.printf "%3d. %-14s %2d result(s)%s  [tuples %d, probes %d, scanned %d]\n" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
-              (List.length r.Engine.ranked)
-              (match o.Serve.result with Topo_core.Request.Partial _ -> " (partial)" | _ -> "")
-              o.Serve.counters.Topo_sql.Iterator.Counters.tuples
-              o.Serve.counters.Topo_sql.Iterator.Counters.index_probes
-              o.Serve.counters.Topo_sql.Iterator.Counters.rows_scanned
+              (Engine.method_name o.Request.request.Request.method_)
+              (List.length r.Request.ranked)
+              (match o.Request.result with Topo_core.Request.Partial _ -> " (partial)" | _ -> "")
+              o.Request.counters.Topo_sql.Iterator.Counters.tuples
+              o.Request.counters.Topo_sql.Iterator.Counters.index_probes
+              o.Request.counters.Topo_sql.Iterator.Counters.rows_scanned
         | Topo_core.Request.Rejected rj ->
             Printf.printf "%3d. %-14s REJECTED (%s)\n" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
+              (Engine.method_name o.Request.request.Request.method_)
               (Topo_core.Request.rejection_name rj)
         | Topo_core.Request.Failed e ->
             Printf.printf "%3d. %-14s ERROR %s\n" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
+              (Engine.method_name o.Request.request.Request.method_)
               (Printexc.to_string e))
     outcomes;
   if traces then begin
     print_newline ();
     List.iteri
-      (fun i (o : Serve.outcome) ->
-        match o.Serve.trace with
+      (fun i (o : Request.outcome) ->
+        match o.Request.trace with
         | Some tr when i < List.length base ->
             Printf.printf "-- query %d (%s), %d span(s)\n%s" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
+              (Engine.method_name o.Request.request.Request.method_)
               (Obs.Trace.span_count tr) (Obs.Trace.to_text tr)
         | Some _ | None -> ())
       outcomes
@@ -1037,18 +1048,7 @@ let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms r
     | None -> load_snapshot (Snapshot.shard_path ~dir:manifest_dir 0)
   in
   let catalog = catalog_engine.Engine.ctx.Topo_core.Context.catalog in
-  let base, skipped =
-    match file with
-    | Some path -> read_workload catalog ~t1 ~t2 path
-    | None -> (default_workload catalog ~t1 ~t2, 0)
-  in
-  if skipped > 0 then
-    Printf.printf "skipped %d malformed line%s\n" skipped (if skipped = 1 then "" else "s");
-  if base = [] then begin
-    prerr_endline "empty workload";
-    exit 2
-  end;
-  let requests = List.concat (List.init (max 1 repeat) (fun _ -> base)) in
+  let _, requests = load_requests catalog ~t1 ~t2 ~file ~repeat in
   let router =
     Router.create ~manifest ~addrs:(Array.of_list sockets)
       ?timeout_s:(Option.map (fun ms -> ms /. 1000.0) timeout_ms)
@@ -1064,16 +1064,16 @@ let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms r
       let elapsed = Unix.gettimeofday () -. t0 in
       Router.close router;
       let count p = List.length (List.filter p outcomes) in
-      let done_ = count (fun o -> match o.Serve.result with Topo_core.Request.Done _ -> true | _ -> false) in
-      let partial = count (fun o -> match o.Serve.result with Topo_core.Request.Partial _ -> true | _ -> false) in
-      let rejected = count (fun o -> match o.Serve.result with Topo_core.Request.Rejected _ -> true | _ -> false) in
-      let failed = count (fun o -> match o.Serve.result with Topo_core.Request.Failed _ -> true | _ -> false) in
+      let done_ = count (fun o -> match o.Request.result with Topo_core.Request.Done _ -> true | _ -> false) in
+      let partial = count (fun o -> match o.Request.result with Topo_core.Request.Partial _ -> true | _ -> false) in
+      let rejected = count (fun o -> match o.Request.result with Topo_core.Request.Rejected _ -> true | _ -> false) in
+      let failed = count (fun o -> match o.Request.result with Topo_core.Request.Failed _ -> true | _ -> false) in
       List.iteri
-        (fun i (o : Serve.outcome) ->
-          match o.Serve.result with
+        (fun i (o : Request.outcome) ->
+          match o.Request.result with
           | Topo_core.Request.Failed e ->
               Printf.printf "%3d. %-14s ERROR %s\n" (i + 1)
-                (Engine.method_name o.Serve.request.Serve.method_)
+                (Engine.method_name o.Request.request.Request.method_)
                 (Printexc.to_string e)
           | _ -> ())
         outcomes;

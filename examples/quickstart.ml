@@ -32,7 +32,7 @@ let () =
   List.iter
     (fun m ->
       let r = Engine.run engine q ~method_:m () in
-      Printf.printf "%-16s -> %d topologies\n" (Engine.method_name m) (List.length r.Engine.ranked))
+      Printf.printf "%-16s -> %d topologies\n" (Engine.method_name m) (List.length r.Request.ranked))
     Engine.all_methods;
 
   (* 5. The topologies themselves, with their instance pairs. *)
@@ -54,7 +54,7 @@ let () =
                         (Topo_graph.Lgraph.node_count g) (Topo_graph.Lgraph.edge_count g)
           | None -> print_newline ())
         pairs)
-    r.Engine.ranked;
+    r.Request.ranked;
 
   (* 6. The famous exception: (78, 215) satisfies the P-U-D path condition
      but is related by the more complex T3/T4, so after pruning it lives in

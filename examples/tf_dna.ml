@@ -29,7 +29,7 @@ let () =
 
   (* Full topology result: the schema-level summary. *)
   let r = Engine.run engine q ~method_:Engine.Fast_top () in
-  Printf.printf "\n%d topologies relate 'factor' proteins to mRNAs:\n" (List.length r.Engine.ranked);
+  Printf.printf "\n%d topologies relate 'factor' proteins to mRNAs:\n" (List.length r.Request.ranked);
 
   (* Rank by biological significance and show the top five with one
      instance each. *)
@@ -49,8 +49,8 @@ let () =
           in
           Printf.printf "   e.g. Protein %d (%s) - DNA %d\n" a protein_desc b
       | [] -> ())
-    top.Engine.ranked;
-  match top.Engine.strategy with
+    top.Request.ranked;
+  match top.Request.strategy with
   | Some strategy ->
       Printf.printf "\n(optimizer chose the %s plan)\n"
         (match strategy with

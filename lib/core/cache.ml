@@ -174,8 +174,8 @@ type t = {
   plan_tier : plan tier;
 }
 
-let create ?(results = 1024) ?(plans = 512) registry =
-  { registry; result_tier = tier_create results; plan_tier = tier_create plans }
+let create ?(results = 1024) registry =
+  { registry; result_tier = tier_create results; plan_tier = tier_create 512 }
 
 let stamp t = Topology.generation t.registry
 

@@ -34,10 +34,11 @@ type totals = { results : stats; plans : stats }
 
 type t
 
-(** [create ?results ?plans registry] with per-tier entry-count capacities
-    (defaults 1024 result entries, 512 plan entries; minimum 1).  The cache
-    is tied to [registry]: its generation is the invalidation epoch. *)
-val create : ?results:int -> ?plans:int -> Topology.registry -> t
+(** [create ?results registry] with a result-tier capacity of [results]
+    entries (default 1024; minimum 1) and a fixed 512-entry plan tier.
+    The cache is tied to [registry]: its generation is the invalidation
+    epoch. *)
+val create : ?results:int -> Topology.registry -> t
 
 (** [stamp t] is the registry generation to compute under {e before}
     evaluating; pass it to [add_result]/[add_plan] so a registry mutation

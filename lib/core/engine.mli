@@ -3,8 +3,8 @@
     [build] runs the offline phase over a Biozon-schema catalog: it
     materializes the instance graph, runs Topology Computation for each
     requested entity-set pair, prunes with the given threshold, and
-    registers the derived tables.  [run] evaluates a query online with any
-    of the nine methods. *)
+    registers the derived tables.  [run_request] evaluates a query online
+    with any of the nine methods; [run] is its sequential reference. *)
 
 type t = {
   ctx : Context.t;
@@ -59,18 +59,10 @@ val build :
   unit ->
   t
 
-(** The historical result record, now an alias of {!Request.result}. *)
-type result = Request.result = {
-  ranked : (int * float option) list;  (** TIDs with scores for top-k methods *)
-  elapsed_s : float;
-  method_ : method_;
-  strategy : Topo_sql.Optimizer.strategy option;  (** what an -Opt method chose *)
-}
-
-(** [cache ?results ?plans t] is a fresh {!Cache.t} tied to this engine's
+(** [cache ?results t] is a fresh {!Cache.t} tied to this engine's
     topology registry (capacities as in {!Cache.create}).  Share one cache
     per engine; it is safe for concurrent domains. *)
-val cache : ?results:int -> ?plans:int -> t -> Cache.t
+val cache : ?results:int -> t -> Cache.t
 
 (** [run_request t ?cache ?verify_plans ?traces request] is the canonical
     single-query entry point: it evaluates [request] under a fresh private
@@ -100,15 +92,14 @@ val cache : ?results:int -> ?plans:int -> t -> Cache.t
 val run_request :
   t -> ?cache:Cache.t -> ?verify_plans:bool -> ?traces:bool -> Request.t -> Request.outcome
 
-(** [run t query ~method_ ?scheme ?k ?impls ?verify_plans ()] evaluates.
-    A thin wrapper over the {!Request} machinery kept for sequential
-    callers: unlike {!run_request} it lets exceptions propagate and
-    accumulates counters in the {e ambient}
-    {!Topo_sql.Iterator.Counters} scope (on a cache hit the stored
-    counters are replayed into that scope, so counter-observing callers
-    see identical numbers with and without a cache).  Not for concurrent
-    use — domains sharing the global counter scope would interleave;
-    concurrent callers go through {!Serve.exec} / {!run_request}.
+(** [run t query ~method_ ?scheme ?k ?impls ?verify_plans ?trace ()]
+    evaluates one query sequentially: no cache, no deadline.  It is the
+    reference the serving tier is checked against.  Unlike
+    {!run_request} it lets exceptions propagate and accumulates counters
+    in the {e ambient} {!Topo_sql.Iterator.Counters} scope.  Not for
+    concurrent use — domains sharing the global counter scope would
+    interleave; concurrent callers go through {!Serve.exec} /
+    {!run_request}.
 
     [scheme] defaults to [Freq], [k] to 10; both are ignored by non-top-k
     methods.  [impls] pins DGJ implementations for the -ET methods.
@@ -116,11 +107,10 @@ val run_request :
     builds with {!Topo_sql.Plan_check} before executing it — raising
     {!Topo_sql.Plan_check.Plan_error} on a malformed plan — and runs -ET
     iterator trees under the {!Topo_sql.Iterator_check} protocol
-    checker.  [cache], when given (and verification is off), memoizes
-    results and optimizer pricing exactly as in {!run_request}.  [trace],
-    when given, records a span tree of the evaluation phases (root span
-    named after the method, tagged with scheme and k) into the supplied
-    {!Topo_obs.Trace}. *)
+    checker.  [trace], when given, records a span tree of the evaluation
+    phases (root span named after the method, tagged with scheme and k)
+    into the supplied {!Topo_obs.Trace}.
+    @raise Invalid_argument when [k < 1] (see {!Request.make}). *)
 val run :
   t ->
   Query.t ->
@@ -129,10 +119,9 @@ val run :
   ?k:int ->
   ?impls:[ `I | `H ] list ->
   ?verify_plans:bool ->
-  ?cache:Cache.t ->
   ?trace:Topo_obs.Trace.t ->
   unit ->
-  result
+  Request.result
 
 (** [fingerprint t] digests the full observable output of the offline
     phase: every registered topology's (TID, canonical key,

@@ -45,6 +45,7 @@ type t = {
 }
 
 let make ?(scheme = Ranking.Freq) ?(k = 10) ?deadline method_ query =
+  if k < 1 then invalid_arg (Printf.sprintf "Request.make: k must be at least 1, got %d" k);
   { method_; query; scheme; k; deadline }
 
 type result = {
@@ -286,6 +287,7 @@ let read_payload r =
   let method_ = method_of_tag (Wire.r_u8 r "method tag") in
   let scheme = scheme_of_tag (Wire.r_u8 r "ranking scheme tag") in
   let k = Wire.r_u32 r "k" in
+  if k = 0 then Wire.fail "corrupt request: k must be at least 1, got 0";
   let deadline = r_deadline r in
   let e1 = r_endpoint r in
   let e2 = r_endpoint r in

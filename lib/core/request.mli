@@ -4,8 +4,7 @@
     an optional {!Budget.deadline} — and an {!outcome} is everything
     observable about evaluating it.  {!Engine.run_request} is the
     canonical evaluator; {!Serve}, [toposearch] and the benchmarks all
-    speak these types ({!Serve} re-exports them under its historical
-    names).
+    speak these types.
 
     How a request can end ({!outcome_result}):
     - [Done r] — evaluated to completion.
@@ -24,12 +23,13 @@ type t = {
   method_ : Methods.method_;
   query : Query.t;
   scheme : Ranking.scheme;
-  k : int;
+  k : int;  (** at least 1 *)
   deadline : Budget.deadline option;  (** bound on evaluation; [None] = run to completion *)
 }
 
 (** [make ?scheme ?k ?deadline method_ query] with [scheme] defaulting to
-    [Freq], [k] to 10 and [deadline] to none. *)
+    [Freq], [k] to 10 and [deadline] to none.
+    @raise Invalid_argument when [k < 1]. *)
 val make :
   ?scheme:Ranking.scheme -> ?k:int -> ?deadline:Budget.deadline -> Methods.method_ -> Query.t -> t
 
@@ -120,7 +120,8 @@ exception Remote_failure of string
 val to_wire : t -> string
 
 (** [of_wire data] decodes a frame produced by {!to_wire}.
-    @raise Wire.Error on any framing or codec violation. *)
+    @raise Wire.Error on any framing or codec violation, including
+    [k < 1]. *)
 val of_wire : string -> t
 
 (** [outcome_to_wire o] is a complete outcome frame

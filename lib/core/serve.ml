@@ -1,5 +1,6 @@
 (* The online serving tier: batch-evaluate topology queries concurrently
-   across OCaml 5 domains, closed-loop or open-loop.
+   across OCaml 5 domains, closed-loop or open-loop, through one entry
+   point, [exec].
 
    Each query keeps its single-coordinator evaluation (the paper's online
    phase is inherently one plan per query); what parallelizes is the
@@ -21,45 +22,23 @@
    deterministic evaluation — ranked list, strategy, counters — caching
    does not perturb the determinism contract:
 
-   [run ~jobs:n] returns outcomes bit-identical to [run ~jobs:1] (and to
-   a plain sequential [Engine.run] loop), in input order, whether the
-   cache is cold, warm, or absent.  A query that raises yields [Failed]
-   in its own slot and leaves the rest of the batch untouched; failures
-   are never memoized.
+   a closed-mode [exec] at jobs=n returns outcomes bit-identical to
+   jobs=1 (and to a plain sequential [Engine.run] loop), in input order,
+   whether the cache is cold, warm, or absent.  A query that raises
+   yields [Failed] in its own slot and leaves the rest of the batch
+   untouched; failures are never memoized.
 
-   [run_open] is the open-loop mode ("millions of users"): requests
-   arrive at externally-dictated instants, a bounded admission queue
-   turns the excess away with a fast [Rejected Overloaded] outcome
-   instead of letting the queue (and every queued request's latency)
-   grow without bound, and per-request latency is measured from the
-   *intended* arrival instant — the coordinated-omission correction: a
-   request delayed in the queue is charged its waiting time, so a
-   stalled server cannot hide behind requests it never got around to
-   admitting. *)
+   Open mode ("millions of users"): requests arrive at
+   externally-dictated instants, a bounded admission queue turns the
+   excess away with a fast [Rejected Overloaded] outcome instead of
+   letting the queue (and every queued request's latency) grow without
+   bound, and per-request latency is measured from the *intended* arrival
+   instant — the coordinated-omission correction: a request delayed in
+   the queue is charged its waiting time, so a stalled server cannot hide
+   behind requests it never got around to admitting. *)
 
 module Pool = Topo_util.Pool
 module Counters = Topo_sql.Iterator.Counters
-module Trace = Topo_obs.Trace
-
-(* Historical names, now aliases of the shared [Request] vocabulary. *)
-type request = Request.t = {
-  method_ : Engine.method_;
-  query : Query.t;
-  scheme : Ranking.scheme;
-  k : int;
-  deadline : Budget.deadline option;
-}
-
-type outcome = Request.outcome = {
-  request : request;
-  result : Request.outcome_result;
-  counters : Counters.snapshot;
-  served_by : int;
-  trace : Trace.t option;
-  cache : Request.cache_status;
-}
-
-let request = Request.make
 
 type stats = {
   jobs : int;
@@ -71,6 +50,59 @@ type stats = {
   throughput_qps : float option;  (* None when elapsed is below clock resolution *)
   domains_used : int;
   cache : Cache.totals option;  (* this batch's cache activity, when caching *)
+}
+
+type timed = {
+  timed_outcome : Request.outcome;
+  intended_s : float;
+  started_s : float;
+  finished_s : float;
+  latency_s : float;
+}
+
+type open_stats = {
+  open_jobs : int;
+  offered : int;
+  admitted : int;
+  rejected_overload : int;
+  expired : int;
+  completed : int;
+  partial : int;
+  failed : int;
+  wall_s : float;
+  offered_rate : float option;
+  achieved_rate : float option;
+}
+
+type open_config = {
+  max_queue : int;
+  deadline_s : float option;
+  schedule : int -> float;
+}
+
+let open_config ?(max_queue = 64) ?deadline_s ?(schedule = fun _ -> 0.0) () =
+  { max_queue; deadline_s; schedule }
+
+type mode = Closed | Open of open_config
+
+type config = {
+  pool : Pool.t option;
+  jobs : int option;
+  traces : bool;
+  cache : Cache.t option;
+  mode : mode;
+}
+
+let config ?pool ?jobs ?(traces = false) ?cache ?(mode = Closed) () =
+  { pool; jobs; traces; cache; mode }
+
+let default = config ()
+
+type result = {
+  outcomes : Request.outcome list;
+  stats : stats;
+  timed : timed list option;
+  open_stats : open_stats option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -107,93 +139,18 @@ let handle_for engine =
       h
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation                                                          *)
+(* Closed loop                                                         *)
 
-let evaluate ~traces ?cache engine handle req =
-  handle.h_served <- handle.h_served + 1;
-  Engine.run_request engine ?cache ~traces req
-
-let classify outcomes =
-  List.fold_left
-    (fun (errors, rejected, partials) o ->
-      match o.result with
-      | Request.Failed _ -> (errors + 1, rejected, partials)
-      | Request.Rejected _ -> (errors, rejected + 1, partials)
-      | Request.Partial _ -> (errors, rejected, partials + 1)
-      | Request.Done _ -> (errors, rejected, partials))
-    (0, 0, 0) outcomes
-
-let serve_on pool ~traces ?cache engine requests =
+(* Returns the jobs used, the outcomes in input order, and the batch's
+   wall time (pool start-up excluded). *)
+let closed_loop pool ~eval requests =
   let input = Array.of_list requests in
-  let before = Option.map Cache.totals cache in
   let t0 = Unix.gettimeofday () in
-  let outcomes =
-    Pool.parallel_map pool input ~f:(fun req -> evaluate ~traces ?cache engine (handle_for engine) req)
-  in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  let outcomes = Array.to_list outcomes in
-  let domains = List.sort_uniq compare (List.map (fun o -> o.served_by) outcomes) in
-  let errors, rejected, partials = classify outcomes in
-  let queries = List.length outcomes in
-  let cache_delta =
-    match (cache, before) with
-    | Some c, Some b -> Some (Cache.diff ~before:b ~after:(Cache.totals c))
-    | _ -> None
-  in
-  ( outcomes,
-    {
-      jobs = Pool.jobs pool;
-      queries;
-      errors;
-      rejected;
-      partials;
-      elapsed_s;
-      (* A sub-resolution batch (warm cache, coarse clock) has no
-         measurable throughput; reporting 0.0 would read as a collapse. *)
-      throughput_qps = (if elapsed_s > 0.0 then Some (float_of_int queries /. elapsed_s) else None);
-      domains_used = List.length domains;
-      cache = cache_delta;
-    } )
-
-let run ?pool ?jobs ?(traces = false) ?cache engine requests =
-  match pool with
-  | Some pool -> serve_on pool ~traces ?cache engine requests
-  | None ->
-      (* Never oversubscribe: domains beyond the hardware's recommended
-         count only add cross-domain GC synchronization on a serving
-         workload.  Results are jobs-invariant anyway; callers who really
-         want more domains than cores (stress tests) can pass [?pool].
-         This is the only cap — [Pool.default_jobs]'s additional clamp to 8
-         applies just when [?jobs] is omitted entirely. *)
-      let jobs = Option.map (fun j -> max 1 (min j (Domain.recommended_domain_count ()))) jobs in
-      Pool.with_pool ?jobs (fun pool -> serve_on pool ~traces ?cache engine requests)
+  let outcomes = Pool.parallel_map pool input ~f:eval in
+  (Pool.jobs pool, Array.to_list outcomes, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Open-loop serving                                                   *)
-
-type arrival = { at : float; arrival_request : request }
-
-type timed = {
-  timed_outcome : outcome;
-  intended_s : float;
-  started_s : float;
-  finished_s : float;
-  latency_s : float;
-}
-
-type open_stats = {
-  open_jobs : int;
-  offered : int;
-  admitted : int;
-  rejected_overload : int;
-  expired : int;
-  completed : int;
-  partial : int;
-  failed : int;
-  wall_s : float;
-  offered_rate : float option;
-  achieved_rate : float option;
-}
+(* Open loop                                                           *)
 
 let with_lock m f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
@@ -201,7 +158,7 @@ let with_lock m f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m
    queue turned away: no evaluation, no counters, no cache traffic. *)
 let overloaded_outcome req =
   {
-    request = req;
+    Request.request = req;
     result = Request.Rejected Request.Overloaded;
     counters = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
     served_by = (Domain.self () :> int);
@@ -209,19 +166,19 @@ let overloaded_outcome req =
     cache = Request.Uncached;
   }
 
-let run_open ?jobs ?(max_queue = 64) ?deadline_s ?(traces = false) ?cache engine arrivals =
-  let jobs =
-    let recommended = Domain.recommended_domain_count () in
-    max 1 (min (Option.value jobs ~default:recommended) recommended)
-  in
+(* Replays [oc.schedule] on [jobs] worker domains.  Returns the timed
+   outcomes in intended-arrival order and the run's wall time. *)
+let open_loop ~jobs oc ~eval requests =
   let arrivals =
-    List.stable_sort (fun a b -> Float.compare a.at b.at) arrivals |> Array.of_list
+    List.mapi (fun i req -> (oc.schedule i, req)) requests
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+    |> Array.of_list
   in
   let n = Array.length arrivals in
   let slots : timed option array = Array.make n None in
   let lock = Mutex.create () in
   let work = Condition.create () in
-  let pending : (int * request) Queue.t = Queue.create () in
+  let pending : (int * Request.t) Queue.t = Queue.create () in
   let closed = ref false in
   let t0 = Unix.gettimeofday () in
   let now () = Unix.gettimeofday () -. t0 in
@@ -229,13 +186,13 @@ let run_open ?jobs ?(max_queue = 64) ?deadline_s ?(traces = false) ?cache engine
      request's intended arrival instant (not its admission instant): a
      request that waited in the queue has already spent part of its
      deadline waiting. *)
-  let stamp at req =
-    match (req.deadline, deadline_s) with
-    | None, Some d -> { req with deadline = Some (Budget.Wall (t0 +. at +. d)) }
+  let stamp at (req : Request.t) =
+    match (req.Request.deadline, oc.deadline_s) with
+    | None, Some d -> { req with Request.deadline = Some (Budget.Wall (t0 +. at +. d)) }
     | _ -> req
   in
   let record idx outcome ~started ~finished =
-    let intended = arrivals.(idx).at in
+    let intended = fst arrivals.(idx) in
     slots.(idx) <-
       Some
         {
@@ -262,7 +219,7 @@ let run_open ?jobs ?(max_queue = 64) ?deadline_s ?(traces = false) ?cache engine
       | None -> ()
       | Some (idx, req) ->
           let started = now () in
-          let o = evaluate ~traces ?cache engine (handle_for engine) req in
+          let o = eval req in
           record idx o ~started ~finished:(now ());
           loop ()
     in
@@ -274,21 +231,21 @@ let run_open ?jobs ?(max_queue = 64) ?deadline_s ?(traces = false) ?cache engine
      one worker otherwise — and Domain.join publishes the workers'
      writes before aggregation reads them. *)
   Array.iteri
-    (fun idx a ->
-      let wait = a.at -. now () in
+    (fun idx (at, req) ->
+      let wait = at -. now () in
       if wait > 0.0 then Unix.sleepf wait;
       let admitted =
         with_lock lock (fun () ->
-            if Queue.length pending >= max_queue then false
+            if Queue.length pending >= oc.max_queue then false
             else begin
-              Queue.add (idx, stamp a.at a.arrival_request) pending;
+              Queue.add (idx, stamp at req) pending;
               Condition.signal work;
               true
             end)
       in
       if not admitted then begin
         let t = now () in
-        record idx (overloaded_outcome a.arrival_request) ~started:t ~finished:t
+        record idx (overloaded_outcome req) ~started:t ~finished:t
       end)
     arrivals;
   with_lock lock (fun () ->
@@ -305,115 +262,97 @@ let run_open ?jobs ?(max_queue = 64) ?deadline_s ?(traces = false) ?cache engine
            | None ->
                (* Unreachable: every index is either rejected by the
                   coordinator or evaluated by a worker before join. *)
-               failwith (Printf.sprintf "Serve.run_open: slot %d never served" idx))
+               failwith (Printf.sprintf "Serve.exec: open-loop slot %d never served" idx))
          slots)
   in
-  let count p = List.length (List.filter p timed) in
-  let rejected_overload =
-    count (fun t -> match t.timed_outcome.result with Request.Rejected Request.Overloaded -> true | _ -> false)
-  in
-  let expired =
-    count (fun t -> match t.timed_outcome.result with Request.Rejected Request.Expired -> true | _ -> false)
-  in
-  let completed = count (fun t -> match t.timed_outcome.result with Request.Done _ -> true | _ -> false) in
-  let partial = count (fun t -> match t.timed_outcome.result with Request.Partial _ -> true | _ -> false) in
-  let failed = count (fun t -> match t.timed_outcome.result with Request.Failed _ -> true | _ -> false) in
-  let rate c = if wall_s > 0.0 then Some (float_of_int c /. wall_s) else None in
-  ( timed,
-    {
-      open_jobs = jobs;
-      offered = n;
-      admitted = n - rejected_overload;
-      rejected_overload;
-      expired;
-      completed;
-      partial;
-      failed;
-      wall_s;
-      offered_rate = rate n;
-      achieved_rate = rate (completed + partial);
-    } )
+  (timed, wall_s)
 
 (* ------------------------------------------------------------------ *)
-(* The unified entry point
+(* The entry point                                                     *)
 
-   [exec] subsumes the historical [run]/[run_open] pair: one [config]
-   record names the execution resources (pool or jobs, traces, cache)
-   and one [mode] picks closed- or open-loop.  The shard server and the
-   router consume the same record, so "how a batch executes" is spelled
-   the same way in-process, behind a socket, and in the benchmarks.
-   [run]/[run_open] survive one release as deprecated wrappers (the
-   deprecation lives on their mli signatures; this file may still call
-   them). *)
-
-type open_config = {
-  max_queue : int;
-  deadline_s : float option;
-  schedule : int -> float;
-}
-
-let open_config ?(max_queue = 64) ?deadline_s ?(schedule = fun _ -> 0.0) () =
-  { max_queue; deadline_s; schedule }
-
-type mode = Closed | Open of open_config
-
-type config = {
-  pool : Pool.t option;
-  jobs : int option;
-  traces : bool;
-  cache : Cache.t option;
-  mode : mode;
-}
-
-let config ?pool ?jobs ?(traces = false) ?cache ?(mode = Closed) () =
-  { pool; jobs; traces; cache; mode }
-
-let default = config ()
-
-type result = {
-  outcomes : outcome list;
-  stats : stats;
-  timed : timed list option;
-  open_stats : open_stats option;
-}
+(* Never oversubscribe: domains beyond the hardware's recommended count
+   only add cross-domain GC synchronization on a serving workload.
+   Results are jobs-invariant anyway; callers who really want more
+   domains than cores (stress tests) can pass a pool.  In closed mode
+   this is the only cap — [Pool.default_jobs]'s additional clamp to 8
+   applies just when [jobs] is omitted entirely; open mode defaults to
+   the recommended count. *)
+let cap_jobs j = max 1 (min j (Domain.recommended_domain_count ()))
 
 let exec cfg engine requests =
-  match cfg.mode with
-  | Closed ->
-      let outcomes, stats =
-        run ?pool:cfg.pool ?jobs:cfg.jobs ~traces:cfg.traces ?cache:cfg.cache engine requests
-      in
-      { outcomes; stats; timed = None; open_stats = None }
-  | Open oc ->
-      let arrivals =
-        List.mapi (fun i req -> { at = oc.schedule i; arrival_request = req }) requests
-      in
-      let before = Option.map Cache.totals cfg.cache in
-      let timed, os =
-        run_open ?jobs:cfg.jobs ~max_queue:oc.max_queue ?deadline_s:oc.deadline_s
-          ~traces:cfg.traces ?cache:cfg.cache engine arrivals
-      in
-      let outcomes = List.map (fun t -> t.timed_outcome) timed in
-      let domains = List.sort_uniq compare (List.map (fun (o : outcome) -> o.served_by) outcomes) in
-      let cache_delta =
-        match (cfg.cache, before) with
-        | Some c, Some b -> Some (Cache.diff ~before:b ~after:(Cache.totals c))
-        | _ -> None
-      in
-      let stats =
+  let before = Option.map Cache.totals cfg.cache in
+  let eval req =
+    let handle = handle_for engine in
+    handle.h_served <- handle.h_served + 1;
+    Engine.run_request engine ?cache:cfg.cache ~traces:cfg.traces req
+  in
+  let jobs, outcomes, timed, elapsed_s =
+    match cfg.mode with
+    | Closed ->
+        let jobs, outcomes, elapsed_s =
+          match cfg.pool with
+          | Some pool -> closed_loop pool ~eval requests
+          | None ->
+              Pool.with_pool ?jobs:(Option.map cap_jobs cfg.jobs) (fun pool ->
+                  closed_loop pool ~eval requests)
+        in
+        (jobs, outcomes, None, elapsed_s)
+    | Open oc ->
+        let jobs = cap_jobs (Option.value cfg.jobs ~default:(Domain.recommended_domain_count ())) in
+        let timed, wall_s = open_loop ~jobs oc ~eval requests in
+        (jobs, List.map (fun t -> t.timed_outcome) timed, Some timed, wall_s)
+  in
+  let queries = List.length outcomes in
+  let count p = List.length (List.filter (fun (o : Request.outcome) -> p o.Request.result) outcomes) in
+  let errors = count (function Request.Failed _ -> true | _ -> false) in
+  let rejected = count (function Request.Rejected _ -> true | _ -> false) in
+  let partials = count (function Request.Partial _ -> true | _ -> false) in
+  (* A sub-resolution batch (warm cache, coarse clock) has no measurable
+     rate; reporting 0.0 would read as a collapse. *)
+  let rate c = if elapsed_s > 0.0 then Some (float_of_int c /. elapsed_s) else None in
+  let open_stats =
+    Option.map
+      (fun _ ->
+        let overloaded =
+          count (function Request.Rejected Request.Overloaded -> true | _ -> false)
+        in
+        let answered = queries - errors - rejected in
         {
-          jobs = os.open_jobs;
-          queries = os.offered;
-          errors = os.failed;
-          rejected = os.rejected_overload + os.expired;
-          partials = os.partial;
-          elapsed_s = os.wall_s;
-          throughput_qps = os.achieved_rate;
-          domains_used = List.length domains;
-          cache = cache_delta;
-        }
-      in
-      { outcomes; stats; timed = Some timed; open_stats = Some os }
+          open_jobs = jobs;
+          offered = queries;
+          admitted = queries - overloaded;
+          rejected_overload = overloaded;
+          expired = rejected - overloaded;
+          completed = answered - partials;
+          partial = partials;
+          failed = errors;
+          wall_s = elapsed_s;
+          offered_rate = rate queries;
+          achieved_rate = rate answered;
+        })
+      timed
+  in
+  let stats =
+    {
+      jobs;
+      queries;
+      errors;
+      rejected;
+      partials;
+      elapsed_s;
+      (* Open mode reports what was answered, not what was offered. *)
+      throughput_qps =
+        (match open_stats with Some os -> os.achieved_rate | None -> rate queries);
+      domains_used =
+        List.length
+          (List.sort_uniq compare (List.map (fun (o : Request.outcome) -> o.Request.served_by) outcomes));
+      cache =
+        (match (cfg.cache, before) with
+        | Some c, Some b -> Some (Cache.diff ~before:b ~after:(Cache.totals c))
+        | _ -> None);
+    }
+  in
+  { outcomes; stats; timed; open_stats }
 
 (* ------------------------------------------------------------------ *)
 (* Determinism fingerprint                                             *)
@@ -424,18 +363,19 @@ let exec cfg engine requests =
    the rejection kind, or the raised exception.  Wall-clock fields are
    deliberately excluded — and so is the per-outcome cache status: which
    occurrence of a repeated query populates the cache depends on domain
-   scheduling, but the *values* served do not.  [run ~jobs:n] must
-   fingerprint identically for every n, cold or warm; a [Ticks]-deadline
-   batch must fingerprint identically on every run. *)
+   scheduling, but the *values* served do not.  A closed-mode [exec]
+   must fingerprint identically for every jobs value, cold or warm; a
+   [Ticks]-deadline batch must fingerprint identically on every run. *)
 let fingerprint outcomes =
   let buf = Buffer.create 4096 in
   List.iteri
-    (fun i o ->
+    (fun i (o : Request.outcome) ->
+      let req = o.Request.request in
       Buffer.add_string buf
         (Printf.sprintf "Q%d %s %s k=%d: " i
-           (Engine.method_name o.request.method_)
-           (Ranking.name o.request.scheme) o.request.k);
-      (match o.result with
+           (Engine.method_name req.Request.method_)
+           (Ranking.name req.Request.scheme) req.Request.k);
+      (match o.Request.result with
       | Request.Done r | Request.Partial r ->
           List.iter
             (fun (tid, score) ->
@@ -443,19 +383,19 @@ let fingerprint outcomes =
                 (match score with
                 | Some s -> Printf.sprintf "%d=%.17g;" tid s
                 | None -> Printf.sprintf "%d;" tid))
-            r.Engine.ranked;
+            r.Request.ranked;
           Buffer.add_string buf
-            (match r.Engine.strategy with
+            (match r.Request.strategy with
             | Some Topo_sql.Optimizer.Regular -> " regular"
             | Some Topo_sql.Optimizer.Early_termination -> " et"
             | None -> "");
-          (match o.result with
+          (match o.Request.result with
           | Request.Partial _ -> Buffer.add_string buf " partial"
           | _ -> ())
       | Request.Rejected rj -> Buffer.add_string buf ("rejected " ^ Request.rejection_name rj)
       | Request.Failed e -> Buffer.add_string buf ("error " ^ Printexc.to_string e));
       Buffer.add_string buf
-        (Printf.sprintf " [t=%d p=%d s=%d]\n" o.counters.Counters.tuples
-           o.counters.Counters.index_probes o.counters.Counters.rows_scanned))
+        (Printf.sprintf " [t=%d p=%d s=%d]\n" o.Request.counters.Counters.tuples
+           o.Request.counters.Counters.index_probes o.Request.counters.Counters.rows_scanned))
     outcomes;
   Buffer.contents buf

@@ -105,7 +105,7 @@ let test_q1_returns_four_topologies () =
   let q = Query.q1 cat in
   let r = Engine.run engine q ~method_:Engine.Full_top () in
   (* "3-Topology(Q,G) = {T1, T2, T3, T4}". *)
-  Alcotest.(check int) "four topologies" 4 (List.length r.Engine.ranked);
+  Alcotest.(check int) "four topologies" 4 (List.length r.Request.ranked);
   ignore (tid_of_description engine ~contains:[])
 
 let test_q1_excludes_triangle_of_34_215 () =
@@ -122,14 +122,14 @@ let test_q1_excludes_triangle_of_34_215 () =
   let q = Query.q1 cat in
   let r = Engine.run engine q ~method_:Engine.Full_top () in
   Alcotest.(check bool) "triangle excluded" false
-    (List.exists (fun (tid, _) -> tid = triangle) r.Engine.ranked)
+    (List.exists (fun (tid, _) -> tid = triangle) r.Request.ranked)
 
 let test_l_bounds_results () =
   (* With l = 1 only the direct encodes path remains. *)
   let cat = Biozon.Paper_db.catalog () in
   let engine = Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~l:1 () in
   let r = Engine.run engine (Query.q1 cat) ~method_:Engine.Full_top () in
-  Alcotest.(check int) "only T1" 1 (List.length r.Engine.ranked)
+  Alcotest.(check int) "only T1" 1 (List.length r.Request.ranked)
 
 (* --- pruning and the exception table ------------------------------------- *)
 
@@ -176,7 +176,7 @@ let test_fast_top_equals_full_top_under_heavy_pruning () =
   let q = Query.q1 cat in
   let full = Engine.run engine q ~method_:Engine.Full_top () in
   let fast = Engine.run engine q ~method_:Engine.Fast_top () in
-  let tids r = List.map fst r.Engine.ranked in
+  let tids r = List.map fst r.Request.ranked in
   Alcotest.(check (list int)) "same answer with everything pruned" (tids full) (tids fast)
 
 let test_pruned_check_respects_predicates () =
@@ -188,7 +188,7 @@ let test_pruned_check_respects_predicates () =
       (Query.equals cat "DNA" ~col:"type" ~value:(Value.Str "mRNA"))
   in
   let fast = Engine.run engine q ~method_:Engine.Fast_top () in
-  Alcotest.(check int) "empty" 0 (List.length fast.Engine.ranked)
+  Alcotest.(check int) "empty" 0 (List.length fast.Request.ranked)
 
 (* --- method agreement on the synthetic database --------------------------- *)
 
@@ -231,7 +231,7 @@ let test_sql_full_fast_agree () =
   let cat, engine = Lazy.force synthetic_engine in
   List.iteri
     (fun i q ->
-      let tids m = List.map fst (Engine.run engine q ~method_:m ()).Engine.ranked in
+      let tids m = List.map fst (Engine.run engine q ~method_:m ()).Request.ranked in
       let full = tids Engine.Full_top in
       Alcotest.(check (list int)) (Printf.sprintf "fast=full q%d" i) full (tids Engine.Fast_top);
       if i < 2 then
@@ -246,7 +246,7 @@ let test_topk_methods_agree () =
     (fun i q ->
       List.iter
         (fun scheme ->
-          let run m = (Engine.run engine q ~method_:m ~scheme ~k ()).Engine.ranked in
+          let run m = (Engine.run engine q ~method_:m ~scheme ~k ()).Request.ranked in
           let scores r = List.map (fun (_, s) -> match s with Some s -> s | None -> nan) r in
           let full = run Engine.Full_top_k in
           List.iter
@@ -264,8 +264,8 @@ let test_topk_methods_agree () =
 let test_topk_prefix_of_full_ranking () =
   let cat, engine = Lazy.force synthetic_engine in
   let q = List.hd (synthetic_queries cat) in
-  let all = (Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Freq ~k:1000 ()).Engine.ranked in
-  let top3 = (Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Freq ~k:3 ()).Engine.ranked in
+  let all = (Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Freq ~k:1000 ()).Request.ranked in
+  let top3 = (Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Freq ~k:3 ()).Request.ranked in
   let scores r = List.map (fun (_, s) -> Option.get s) r in
   Alcotest.(check (list (float 1e-9)))
     "top-3 scores are the 3 best"
@@ -277,7 +277,7 @@ let test_et_impls_equivalent () =
   let cat, engine = Lazy.force synthetic_engine in
   let q = List.hd (synthetic_queries cat) in
   let run impls =
-    (Engine.run engine q ~method_:Engine.Fast_top_k_et ~scheme:Ranking.Domain ~k:5 ~impls ()).Engine.ranked
+    (Engine.run engine q ~method_:Engine.Fast_top_k_et ~scheme:Ranking.Domain ~k:5 ~impls ()).Request.ranked
   in
   let scores r = List.map (fun (_, s) -> Option.get s) r in
   Alcotest.(check (list (float 1e-9))) "I vs H" (scores (run [ `I; `I; `I ])) (scores (run [ `H; `H; `H ]))
@@ -470,7 +470,7 @@ let test_reliability_filter_build () =
   let engine = Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~min_reliability:0.9 () in
   let r = Engine.run engine (Query.q1 cat) ~method_:Engine.Full_top () in
   (* Only the encodes path (reliability 0.95) survives a 0.9 threshold. *)
-  Alcotest.(check int) "only the direct topology" 1 (List.length r.Engine.ranked)
+  Alcotest.(check int) "only the direct topology" 1 (List.length r.Request.ranked)
 
 (* --- engine odds and ends --------------------------------------------------------- *)
 
@@ -491,7 +491,7 @@ let test_swapped_query_orientation () =
   let cat, engine = paper_engine () in
   let q = Query.q1 cat in
   let swapped = Query.make q.Query.e2 q.Query.e1 in
-  let tids r = List.map fst r.Engine.ranked in
+  let tids r = List.map fst r.Request.ranked in
   Alcotest.(check (list int)) "orientation independent"
     (tids (Engine.run engine q ~method_:Engine.Full_top ()))
     (tids (Engine.run engine swapped ~method_:Engine.Full_top ()))

@@ -110,7 +110,7 @@ let test_expired_rejected_before_cache () =
 let test_zero_capacity_rejects_everything () =
   let engine = Lazy.force paper_engine in
   let cache = Engine.cache engine in
-  let requests = List.init 5 (fun _ -> Serve.request Engine.Fast_top_k (q1 engine)) in
+  let requests = List.init 5 (fun _ -> Request.make Engine.Fast_top_k (q1 engine)) in
   let r =
     Serve.exec
       (Serve.config ~jobs:2 ~cache
@@ -128,7 +128,7 @@ let test_zero_capacity_rejects_everything () =
   Alcotest.(check int) "none admitted" 0 stats.Serve.admitted;
   List.iter
     (fun (t : Serve.timed) ->
-      match t.Serve.timed_outcome.Serve.result with
+      match t.Serve.timed_outcome.Request.result with
       | Request.Rejected Request.Overloaded -> ()
       | other ->
           Alcotest.failf "expected rejected-overloaded, got %s"
@@ -179,7 +179,7 @@ let prop_open_accounting =
       let methods = [| Engine.Fast_top_k; Engine.Full_top_k; Engine.Fast_top_k_et |] in
       let n = 12 + Topo_util.Prng.int rng 12 in
       let requests =
-        List.init n (fun _ -> Serve.request ~k:10 (Topo_util.Prng.choose rng methods) (q1 engine))
+        List.init n (fun _ -> Request.make ~k:10 (Topo_util.Prng.choose rng methods) (q1 engine))
       in
       let r =
         Serve.exec

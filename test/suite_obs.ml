@@ -173,7 +173,7 @@ let test_engine_trace () =
   let r =
     Topo_core.Engine.run engine q ~method_:Topo_core.Engine.Fast_top_k ~k:5 ~trace ()
   in
-  Alcotest.(check bool) "query returned results" true (r.Topo_core.Engine.ranked <> []);
+  Alcotest.(check bool) "query returned results" true (r.Topo_core.Request.ranked <> []);
   match Obs.Trace.roots trace with
   | [ root ] ->
       Alcotest.(check string) "root span is the method" "Fast-Top-k" (Obs.Trace.name root);

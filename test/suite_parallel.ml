@@ -217,7 +217,7 @@ let test_paper_build_jobs_identical () =
   let answers e =
     let q = Query.q1 e.Engine.ctx.Context.catalog in
     List.map
-      (fun m -> (Engine.method_name m, (Engine.run e q ~method_:m ~k:10 ()).Engine.ranked))
+      (fun m -> (Engine.method_name m, (Engine.run e q ~method_:m ~k:10 ()).Request.ranked))
       Engine.all_methods
   in
   let base_answers = answers base in

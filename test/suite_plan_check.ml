@@ -4,6 +4,7 @@
 
 open Topo_sql
 module Engine = Topo_core.Engine
+module Request = Topo_core.Request
 module Query = Topo_core.Query
 
 (* --- fixture ------------------------------------------------------------- *)
@@ -327,7 +328,7 @@ let test_all_methods_verify_on_paper_db () =
       Alcotest.(check bool)
         (Engine.method_name method_ ^ " returns results under verification")
         true
-        (r.Engine.ranked <> []))
+        (r.Request.ranked <> []))
     Engine.all_methods
 
 (* --- SQL pipeline ---------------------------------------------------------- *)

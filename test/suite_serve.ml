@@ -37,7 +37,7 @@ let paper_workload (engine : Engine.t) =
   List.concat_map
     (fun method_ ->
       List.mapi
-        (fun i q -> Serve.request ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
+        (fun i q -> Request.make ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
         queries)
     Engine.all_methods
 
@@ -56,23 +56,23 @@ let test_paper_serve_matches_sequential () =
   (* ground truth: a plain sequential Engine.run loop, no serving tier *)
   let expected =
     List.map
-      (fun (r : Serve.request) ->
-        (Engine.run engine r.Serve.query ~method_:r.Serve.method_ ~scheme:r.Serve.scheme
-           ~k:r.Serve.k ())
-          .Engine.ranked)
+      (fun (r : Request.t) ->
+        (Engine.run engine r.Request.query ~method_:r.Request.method_ ~scheme:r.Request.scheme
+           ~k:r.Request.k ())
+          .Request.ranked)
       requests
   in
   let outcomes, stats = serve_forced ~jobs:4 engine requests in
   Alcotest.(check int) "all queries served" (List.length requests) stats.Serve.queries;
   Alcotest.(check int) "no errors" 0 stats.Serve.errors;
   List.iteri
-    (fun i (o : Serve.outcome) ->
-      match o.Serve.result with
+    (fun i (o : Request.outcome) ->
+      match o.Request.result with
       | Request.Done r ->
           Alcotest.check ranked
             (Printf.sprintf "query %d (%s) ranked list" i
-               (Engine.method_name o.Serve.request.Serve.method_))
-            (List.nth expected i) r.Engine.ranked
+               (Engine.method_name o.Request.request.Request.method_))
+            (List.nth expected i) r.Request.ranked
       | Request.Failed e -> Alcotest.failf "query %d raised %s" i (Printexc.to_string e)
       | other ->
           Alcotest.failf "query %d unexpectedly %s" i (Request.outcome_result_name other))
@@ -100,7 +100,7 @@ let prop_generated_serve_jobs_identical =
       let requests =
         List.map
           (fun method_ ->
-            Serve.request ~k:10 method_
+            Request.make ~k:10 method_
               (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "DNA")))
           Engine.all_methods
       in
@@ -120,19 +120,19 @@ let test_counter_isolation () =
   (* each outcome's counters equal the query's solo cost — nothing leaked
      in from neighbours that ran concurrently on other domains *)
   List.iteri
-    (fun i (o : Serve.outcome) ->
-      let r = o.Serve.request in
-      let (_ : Engine.result), solo =
+    (fun i (o : Request.outcome) ->
+      let r = o.Request.request in
+      let (_ : Request.result), solo =
         Counters.with_scope (fun () ->
-            Engine.run engine r.Serve.query ~method_:r.Serve.method_ ~scheme:r.Serve.scheme
-              ~k:r.Serve.k ())
+            Engine.run engine r.Request.query ~method_:r.Request.method_ ~scheme:r.Request.scheme
+              ~k:r.Request.k ())
       in
       Alcotest.(check (triple int int int))
         (Printf.sprintf "query %d counters = solo run" i)
         (solo.Counters.tuples, solo.Counters.index_probes, solo.Counters.rows_scanned)
-        ( o.Serve.counters.Counters.tuples,
-          o.Serve.counters.Counters.index_probes,
-          o.Serve.counters.Counters.rows_scanned ))
+        ( o.Request.counters.Counters.tuples,
+          o.Request.counters.Counters.index_probes,
+          o.Request.counters.Counters.rows_scanned ))
     outcomes
 
 let test_with_scope_isolation () =
@@ -156,7 +156,7 @@ let test_error_isolated () =
   let catalog = engine.Engine.ctx.Context.catalog in
   (* Protein-Protein was never built: Context.store_for raises Not_found *)
   let poison =
-    Serve.request Engine.Full_top
+    Request.make Engine.Full_top
       (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "Protein"))
   in
   let good = paper_workload engine in
@@ -164,7 +164,7 @@ let test_error_isolated () =
   let outcomes, stats = serve_forced ~jobs:4 engine requests in
   Alcotest.(check int) "exactly one error" 1 stats.Serve.errors;
   Alcotest.(check int) "whole batch completed" (List.length requests) stats.Serve.queries;
-  (match (List.nth outcomes 1).Serve.result with
+  (match (List.nth outcomes 1).Request.result with
   | Request.Failed Not_found -> ()
   | Request.Failed e ->
       Alcotest.failf "poison query raised %s, expected Not_found" (Printexc.to_string e)
@@ -179,13 +179,13 @@ let test_error_isolated () =
 
 let test_traces_attached () =
   let engine = Lazy.force paper_engine in
-  let requests = [ Serve.request Engine.Fast_top (Query.q1 engine.Engine.ctx.Context.catalog) ] in
+  let requests = [ Request.make Engine.Fast_top (Query.q1 engine.Engine.ctx.Context.catalog) ] in
   let with_traces, _ = serve_forced ~jobs:2 ~traces:true engine requests in
-  (match (List.hd with_traces).Serve.trace with
+  (match (List.hd with_traces).Request.trace with
   | Some tr -> Alcotest.(check bool) "trace has spans" true (Trace.span_count tr > 0)
   | None -> Alcotest.fail "traces requested but absent");
   let without, _ = serve_forced ~jobs:2 engine requests in
-  Alcotest.(check bool) "no trace unless requested" true ((List.hd without).Serve.trace = None)
+  Alcotest.(check bool) "no trace unless requested" true ((List.hd without).Request.trace = None)
 
 (* --- pool: concurrent batch submitters ------------------------------------ *)
 

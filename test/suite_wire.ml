@@ -74,7 +74,7 @@ let gen_request =
   let* e1 = gen_endpoint in
   let* e2 = gen_endpoint in
   let* scheme = oneofl [ Ranking.Freq; Ranking.Rare; Ranking.Domain ] in
-  let* k = int_bound 1000 in
+  let* k = int_range 1 1000 in
   let* deadline = gen_deadline in
   return { Request.method_; query = { Query.e1; e2 }; scheme; k; deadline }
 
@@ -221,6 +221,52 @@ let test_reader_bounds () =
   ignore (Wire.r_u8 r2 "first");
   expect_error "trailing bytes rejected" (fun () -> Wire.r_end r2)
 
+(* --- k >= 1 at every entry point -------------------------------------------- *)
+
+(* The CLI binary, a dependency of this test (see test/dune); dune runs
+   the suite from _build/default/test. *)
+let run_cli args =
+  let err = Filename.temp_file "toposearch" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/toposearch.exe %s > /dev/null 2> %s" args (Filename.quote err))
+  in
+  let ic = open_in err in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err;
+  (code, text)
+
+let mentions text sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length text && (String.sub text i n = sub || at (i + 1)) in
+  at 0
+
+let test_k_validated () =
+  let ep entity = { Query.entity; pred = None; label = entity } in
+  let q = Query.make (ep "A") (ep "B") in
+  List.iter
+    (fun k ->
+      match Request.make ~k Engine.Fast_top_k q with
+      | _ -> Alcotest.failf "Request.make ~k:%d must raise" k
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ];
+  (* A peer need not go through Request.make; the decoder checks too. *)
+  let zero = { (Request.make Engine.Fast_top_k q) with Request.k = 0 } in
+  expect_error "k = 0 on the wire" (fun () -> Request.of_wire (Request.to_wire zero));
+  let code, err = run_cli "query --topk=-2" in
+  Alcotest.(check int) "query --topk=-2 exits 2" 2 code;
+  Alcotest.(check bool) "query names the flag" true (mentions err "--topk");
+  let workload = Filename.temp_file "workload" ".txt" in
+  let oc = open_out workload in
+  output_string oc "Fast-Top-k-Opt;;-2\nFast-Top-k; Freq; -3\n";
+  close_out oc;
+  let code, err = run_cli ("serve --scale 0.02 --file " ^ Filename.quote workload) in
+  Sys.remove workload;
+  Alcotest.(check int) "a workload of bad-k lines is empty: exit 2" 2 code;
+  Alcotest.(check bool) "k = -2 skipped as bad k" true (mentions err "line 1: bad k -2");
+  Alcotest.(check bool) "k = -3 skipped as bad k" true (mentions err "line 2: bad k -3")
+
 (* --- pair partition and slices -------------------------------------------- *)
 
 let test_partition_orientation () =
@@ -270,7 +316,7 @@ let mixed_requests (engine : Engine.t) =
     (fun t2 ->
       List.mapi
         (fun i method_ ->
-          Serve.request ~scheme:schemes.(i mod 3) ~k:10 method_
+          Request.make ~scheme:schemes.(i mod 3) ~k:10 method_
             (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog t2)))
         Engine.all_methods)
     [ "DNA"; "Interaction" ]
@@ -385,10 +431,10 @@ let test_router_survives_killed_shard () =
               Alcotest.(check int)
                 "no outcome lost" (List.length requests) (List.length degraded);
               List.iter2
-                (fun (h : Serve.outcome) (d : Serve.outcome) ->
-                  let t2 = d.Serve.request.Request.query.Query.e2.Query.entity in
+                (fun (h : Request.outcome) (d : Request.outcome) ->
+                  let t2 = d.Request.request.Request.query.Query.e2.Query.entity in
                   if Snapshot.manifest_shard manifest ~t1:"Protein" ~t2 = Some dead then
-                    match d.Serve.result with
+                    match d.Request.result with
                     | Request.Failed (Request.Remote_failure _) -> ()
                     | _ -> Alcotest.fail "dead shard's request must fail with Remote_failure"
                   else
@@ -411,6 +457,7 @@ let suites =
       [
         Alcotest.test_case "malformed frames are rejected" `Quick test_frame_rejections;
         Alcotest.test_case "reader bounds checks" `Quick test_reader_bounds;
+        Alcotest.test_case "k < 1 rejected at every entry point" `Quick test_k_validated;
       ] );
     ( "wire.shards",
       [

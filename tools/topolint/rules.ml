@@ -11,7 +11,7 @@
      ~finally, or a matching Mutex.unlock in every branch), and no
      blocking call (Pool.parallel_map/fold, Domain.join, an iterator's
      .next field) may appear while the lock is syntactically held.
-   - hot-path (modules reachable from Engine.run_request / Serve.run):
+   - hot-path (modules reachable from Engine.run_request / Serve.exec):
      no Random.*, Sys.time, stdout printing, or ambient-counter scope
      clobbering (Counters.reset / Counters.with_reset); and no unbounded
      queue growth — a Queue.add/Queue.push must sit under an enclosing
