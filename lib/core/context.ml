@@ -2,6 +2,8 @@ open Topo_sql
 module Sg = Topo_graph.Schema_graph
 module Dg = Topo_graph.Data_graph
 
+type class_entry = { path : Sg.path; walks : Dg.compiled list }
+
 type t = {
   catalog : Catalog.t;
   interner : Topo_util.Interner.t;
@@ -10,7 +12,7 @@ type t = {
   registry : Topology.registry;
   l : int;
   caps : Compute.caps;
-  class_paths : (string, Sg.path) Hashtbl.t;
+  class_paths : (string, class_entry) Hashtbl.t;
   stores : (string * string, Store.t) Hashtbl.t;
 }
 
@@ -22,15 +24,22 @@ let store_for t ~t1 ~t2 =
       | Some s -> (s, false)
       | None -> raise Not_found)
 
+(* A class reads forward from its first type; when both ends have the same
+   type and the path is not a palindrome, an instance may also read
+   reversed from [a], so the reversal is walked too. *)
+let class_entry dg (p : Sg.path) =
+  let rev = Sg.reverse p in
+  let same_type = p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) in
+  { path = p; walks = Dg.compile dg p :: (if same_type && rev <> p then [ Dg.compile dg rev ] else []) }
+
 let register_class_paths t ~t1 ~t2 =
   List.iter
-    (fun p -> Hashtbl.replace t.class_paths (Sg.path_key p) p)
+    (fun p -> Hashtbl.replace t.class_paths (Sg.path_key p) (class_entry t.dg p))
     (Sg.paths t.schema ~from_:t1 ~to_:t2 ~max_len:t.l)
 
-let class_path t key =
-  match Hashtbl.find_opt t.class_paths key with
-  | Some p -> p
-  | None -> raise Not_found
+let class_path t key = (Hashtbl.find t.class_paths key).path
+
+let class_walks t key = (Hashtbl.find t.class_paths key).walks
 
 let satisfying_ids t (endpoint : Query.endpoint) =
   let table = Catalog.find t.catalog endpoint.Query.entity in
@@ -50,18 +59,5 @@ let satisfies t (endpoint : Query.endpoint) id =
   | None -> false
   | Some tuple -> ( match endpoint.Query.pred with None -> true | Some p -> Expr.truthy p tuple)
 
-exception Found
-
 let class_exists_between t key ~a ~b =
-  let p = class_path t key in
-  let probe path =
-    try
-      Dg.iter_instance_paths_between t.dg path ~a ~b ~f:(fun _ -> raise Found);
-      false
-    with Found -> true
-  in
-  probe p
-  ||
-  (* Same endpoint types: the class may read reversed from [a]. *)
-  let rev = Sg.reverse p in
-  p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p && probe rev
+  List.exists (fun c -> Dg.exists_between t.dg c ~a ~b) (class_walks t key)

@@ -106,48 +106,92 @@ let run_tids ?(check = false) ?trace ctx plan =
 (* ------------------------------------------------------------------ *)
 (* Pruned-topology base-data checks                                    *)
 
-exception Found_pair of int * int
+exception Found
 
-(* Enumerate candidate partners of [a] through the class [key]
-   (handling same-endpoint-type reversals), calling [f b]. *)
+(* Enumerate candidate partners of [a] through the class [key] (its
+   compiled walks cover same-endpoint-type reversals), calling [f b]. *)
 let iter_class_partners ctx key ~a ~f =
-  let p = Context.class_path ctx key in
-  let last (ids : int array) = ids.(Array.length ids - 1) in
-  Dg.iter_instance_paths_from ctx.Context.dg p ~source:a ~f:(fun ids -> f (last ids));
-  let rev = Sg.reverse p in
-  if p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p then
-    Dg.iter_instance_paths_from ctx.Context.dg rev ~source:a ~f:(fun ids -> f (last ids))
+  List.iter (fun c -> Dg.iter_ends ctx.Context.dg c ~source:a ~f) (Context.class_walks ctx key)
+
+(* One evaluation's pruned-check probe, shared by every pruned topology the
+   evaluation checks.  What does not depend on the topology is computed at
+   most once per request: the A-side scan (forced by the first check that
+   walks, so a merge cut before any check scans nothing), the B-side
+   predicate per id, and the ExcpTops index.  The probe is confined to the
+   request that built it; nothing in it outlives the evaluation. *)
+type probe = {
+  ctx : Context.t;
+  aligned : aligned;
+  a_ids : int array Lazy.t;  (* qualifying E1-side ids, ascending *)
+  b_ok : int -> bool;  (* memoized [Context.satisfies] on the E2 side *)
+  excepted : a:int -> b:int -> tid:int -> bool;
+  checked : int ref;  (* pruned topologies checked so far *)
+}
+
+let probe ctx aligned =
+  let b_memo = Hashtbl.create 64 in
+  let b_ok b =
+    match Hashtbl.find_opt b_memo b with
+    | Some ok -> ok
+    | None ->
+        let ok = Context.satisfies ctx aligned.eb b in
+        Hashtbl.add b_memo b ok;
+        ok
+  in
+  {
+    ctx;
+    aligned;
+    a_ids = lazy (Context.satisfying_ids ctx aligned.ea);
+    b_ok;
+    excepted = Store.excepted aligned.store ctx.Context.catalog;
+    checked = ref 0;
+  }
 
 (* The bottom sub-query of SQL1: does a qualifying pair satisfy the pruned
-   topology's path condition (under any of its derivations) without being
-   excepted? *)
-let pruned_find_one (ctx : Context.t) aligned (p : Topology.t) decomposition =
+   topology's path condition under [decomposition] without being
+   excepted?  Pairs are tried a ascending, then in walk order. *)
+let satisfied pr (p : Topology.t) decomposition =
   match decomposition with
-  | [] -> None
+  | [] -> false
   | first_class :: other_classes -> (
-      let a_ids = Context.satisfying_ids ctx aligned.ea in
-      let checked = Hashtbl.create 64 in
+      let ctx = pr.ctx in
+      let checked = Hashtbl.create 16 in
       try
         Array.iter
           (fun a ->
             iter_class_partners ctx first_class ~a ~f:(fun b ->
-                if not (Hashtbl.mem checked (a, b)) then begin
+                if pr.b_ok b && not (Hashtbl.mem checked (a, b)) then begin
                   Hashtbl.add checked (a, b) ();
                   if
-                    Context.satisfies ctx aligned.eb b
-                    && List.for_all (fun key -> Context.class_exists_between ctx key ~a ~b) other_classes
-                    && not
-                         (Store.is_excepted aligned.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid)
-                  then raise (Found_pair (a, b))
+                    List.for_all (fun key -> Context.class_exists_between ctx key ~a ~b) other_classes
+                    && not (pr.excepted ~a ~b ~tid:p.Topology.tid)
+                  then raise Found
                 end))
-          a_ids;
-        None
-      with Found_pair (a, b) -> Some (a, b))
+          (Lazy.force pr.a_ids);
+        false
+      with Found -> true)
 
-let pruned_find ctx aligned (p : Topology.t) =
-  List.find_map (fun d -> pruned_find_one ctx aligned p d) (Atomic.get p.Topology.decompositions)
+let probe_check pr (p : Topology.t) =
+  incr pr.checked;
+  List.exists (satisfied pr p) (Atomic.get p.Topology.decompositions)
 
-let pruned_check ctx aligned p = Option.is_some (pruned_find ctx aligned p)
+let pruned_check ctx aligned p = probe_check (probe ctx aligned) p
+
+(* [sp] for a span that checks pruned topologies: once [f] returns it tags
+   how many A-side ids the probe scanned (0 when no check walked) and how
+   many topologies it checked, so a profile shows one scan per request. *)
+let sp_probe ?trace ~tags name pr f =
+  match trace with
+  | None -> f ()
+  | Some t ->
+      let span = Topo_obs.Trace.start t ~tags name in
+      Fun.protect
+        ~finally:(fun () ->
+          let a_ids = if Lazy.is_val pr.a_ids then Array.length (Lazy.force pr.a_ids) else 0 in
+          Topo_obs.Trace.add_tag span "a_ids" (string_of_int a_ids);
+          Topo_obs.Trace.add_tag span "checked" (string_of_int !(pr.checked));
+          Topo_obs.Trace.finish t span)
+        f
 
 (* ------------------------------------------------------------------ *)
 (* Non-top-k methods                                                   *)
@@ -167,12 +211,14 @@ let fast_top ?check ?trace ctx aligned =
       (fun () -> tids_plan ctx aligned ~fact:aligned.store.Store.lefttops)
   in
   let base = run_tids ?check ?trace ctx plan in
+  let pr = probe ctx aligned in
   let extra =
-    sp ?trace "pruned_checks"
+    sp_probe ?trace "pruned_checks"
       ~tags:[ ("pruned", string_of_int (List.length aligned.store.Store.pruned)) ]
+      pr
       (fun () ->
         List.filter_map
-          (fun (p : Topology.t) -> if pruned_check ctx aligned p then Some p.Topology.tid else None)
+          (fun (p : Topology.t) -> if probe_check pr p then Some p.Topology.tid else None)
           aligned.store.Store.pruned)
   in
   List.sort_uniq compare (base @ extra)
@@ -210,13 +256,13 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
                         Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry
                           ~t1 ~t2 ~a ~b ~l:ctx.Context.l ~caps:ctx.Context.caps
                       in
-                      if List.mem tid row.Compute.tids then raise (Found_pair (a, b))
+                      if List.mem tid row.Compute.tids then raise Found
                     end
                   end))
             a_ids)
         first_classes;
       false
-    with Found_pair _ -> true
+    with Found -> true
   in
   sp ?trace "existence_probes"
     ~tags:[ ("observed", string_of_int (List.length !observed)) ]
@@ -270,7 +316,8 @@ let budget_stop = function Some b -> Budget.tick b | None -> false
    pruned topologies, keeping global descending-score order, stopping at
    k results (or when the deadline budget trips — the results so far are
    the deterministic prefix of the full answer's merge order). *)
-let merge_with_pruned ?budget ctx aligned ~scheme ~k ~next_witness =
+let merge_with_pruned ?budget pr ~scheme ~k ~next_witness =
+  let ctx = pr.ctx and aligned = pr.aligned in
   let pruned =
     List.map
       (fun (p : Topology.t) ->
@@ -292,13 +339,13 @@ let merge_with_pruned ?budget ctx aligned ~scheme ~k ~next_witness =
       match (pending, pruned_left) with
       | None, [] -> ()
       | Some (tid, score), ((p : Topology.t), pscore) :: rest when pscore > score ->
-          if pruned_check ctx aligned p then add p.Topology.tid pscore;
+          if probe_check pr p then add p.Topology.tid pscore;
           loop (Some (tid, score)) rest
       | Some (tid, score), _ ->
           add tid score;
           loop None pruned_left
       | None, (p, pscore) :: rest ->
-          if pruned_check ctx aligned p then add p.Topology.tid pscore;
+          if probe_check pr p then add p.Topology.tid pscore;
           loop None rest
     end
   in
@@ -354,8 +401,9 @@ let fast_top_k_et ?check ?trace ?budget ctx aligned ~scheme ~k ?(impls = default
   let next =
     et_witness_stream ?check ?trace ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~impls
   in
-  sp ?trace "merge_with_pruned" (fun () ->
-      merge_with_pruned ?budget ctx aligned ~scheme ~k ~next_witness:next)
+  let pr = probe ctx aligned in
+  sp_probe ?trace "merge_with_pruned" ~tags:[] pr (fun () ->
+      merge_with_pruned ?budget pr ~scheme ~k ~next_witness:next)
 
 (* Plan-tier memoization of the optimizer's pricing searches.  The tier
    stays active under [~check:true]: a [Regular_plan] hit is re-run
@@ -422,12 +470,14 @@ let fast_top_k ?check ?trace ?cache ctx aligned ~scheme ~k =
         if s > kth_score then Some (p, s) else None)
       aligned.store.Store.pruned
   in
+  let pr = probe ctx aligned in
   let extra =
-    sp ?trace "pruned_checks"
+    sp_probe ?trace "pruned_checks"
       ~tags:[ ("candidates", string_of_int (List.length candidates)) ]
+      pr
       (fun () ->
         List.filter_map
-          (fun (p, s) -> if pruned_check ctx aligned p then Some (p.Topology.tid, s) else None)
+          (fun (p, s) -> if probe_check pr p then Some (p.Topology.tid, s) else None)
           candidates)
   in
   let merged = sort_desc (base @ extra) in

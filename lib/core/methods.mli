@@ -158,8 +158,25 @@ val dispatch :
   k:int ->
   (int * float option) list * Topo_sql.Optimizer.strategy option
 
-(** [pruned_check ctx aligned topology] decides whether some qualifying
-    pair satisfies the pruned topology's path condition and survives the
-    ExcpTops anti-check — the bottom sub-query of SQL1/SQL5.  Exposed for
-    tests. *)
+(** {1 Pruned-topology checks} *)
+
+(** One evaluation's pruned-check probe.  The Fast-* methods build one per
+    evaluation and check every pruned topology through it: the E1-side
+    qualifying ids are scanned once (on the first check that walks), the
+    E2-side predicate is answered once per id, and the ExcpTops index is
+    resolved once.  A probe is confined to the request that built it. *)
+type probe
+
+(** [probe ctx aligned] is a fresh probe; it does no work until a check
+    needs it. *)
+val probe : Context.t -> aligned -> probe
+
+(** [probe_check probe topology] decides whether some qualifying pair
+    satisfies the pruned topology's path condition and survives the
+    ExcpTops anti-check — the bottom sub-query of SQL1/SQL5.  The verdict
+    does not depend on what the probe checked before. *)
+val probe_check : probe -> Topology.t -> bool
+
+(** [pruned_check ctx aligned topology] is [probe_check] through a fresh
+    probe.  Exposed for tests. *)
 val pruned_check : Context.t -> aligned -> Topology.t -> bool

@@ -166,10 +166,23 @@ let max_pruned_score store catalog scheme =
     (fun acc (p : Topology.t) -> Float.max acc (score_of store catalog scheme p.Topology.tid))
     neg_infinity store.pruned
 
-let is_excepted store catalog ~a ~b ~tid =
-  let table = Catalog.find catalog store.excptops in
-  let idx = Table.ensure_index table ~kind:Index.Hash ~cols:[ "E1"; "E2"; "TID" ] in
-  Index.probe_count idx [| Value.Int a; Value.Int b; Value.Int tid |] > 0
+(* The index is resolved on the first probe, as a lone [is_excepted] call
+   would build it, and the key buffer is reused: the returned closure
+   belongs to one caller on one domain. *)
+let excepted store catalog =
+  let idx =
+    lazy
+      (Table.ensure_index (Catalog.find catalog store.excptops) ~kind:Index.Hash
+         ~cols:[ "E1"; "E2"; "TID" ])
+  in
+  let key = Array.make 3 (Value.Int 0) in
+  fun ~a ~b ~tid ->
+    key.(0) <- Value.Int a;
+    key.(1) <- Value.Int b;
+    key.(2) <- Value.Int tid;
+    Index.probe_count (Lazy.force idx) key > 0
+
+let is_excepted store catalog ~a ~b ~tid = excepted store catalog ~a ~b ~tid
 
 let space store catalog =
   let size name = Table.byte_size (Catalog.find catalog name) in

@@ -59,6 +59,12 @@ val max_pruned_score : t -> Topo_sql.Catalog.t -> Ranking.scheme -> float
 (** [is_excepted store catalog ~a ~b ~tid] probes the exception table. *)
 val is_excepted : t -> Topo_sql.Catalog.t -> a:int -> b:int -> tid:int -> bool
 
+(** [excepted store catalog] is {!is_excepted} with the table and its hash
+    index resolved once, on the first probe, for a caller that probes
+    many times.  The closure reuses one key buffer: keep it on the domain
+    that made it. *)
+val excepted : t -> Topo_sql.Catalog.t -> a:int -> b:int -> tid:int -> bool
+
 (** [space store catalog] is [(alltops_bytes, lefttops_bytes,
     excptops_bytes)] — the Table 1 accounting. *)
 val space : t -> Topo_sql.Catalog.t -> int * int * int

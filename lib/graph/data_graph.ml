@@ -4,7 +4,9 @@ type t = {
   pool : Topo_util.Interner.t;
   node_type : (int, int) Hashtbl.t;  (* id -> interned "n:<ty>" *)
   by_type : (string, int Dyn.t) Hashtbl.t;
-  adj : (int, (int * int) Dyn.t) Hashtbl.t;  (* id -> (interned "e:<rel>", other) *)
+  adj : (int, (int * int * int) Dyn.t) Hashtbl.t;
+      (* id -> (interned "e:<rel>", other's interned "n:<ty>", other), so a
+         walk filters neighbors without a type lookup *)
   edge_seen : (int * int * int, unit) Hashtbl.t;
 }
 
@@ -49,8 +51,8 @@ let add_relationship t ~rel ~a ~b =
   let key = if a < b then (a, b, label) else (b, a, label) in
   if not (Hashtbl.mem t.edge_seen key) then begin
     Hashtbl.add t.edge_seen key ();
-    Dyn.push (Hashtbl.find t.adj a) (label, b);
-    Dyn.push (Hashtbl.find t.adj b) (label, a)
+    Dyn.push (Hashtbl.find t.adj a) (label, Hashtbl.find t.node_type b, b);
+    Dyn.push (Hashtbl.find t.adj b) (label, Hashtbl.find t.node_type a, a)
   end
 
 let node_count t = Hashtbl.length t.node_type
@@ -72,64 +74,92 @@ let node_type_label t id =
 
 let interner t = t.pool
 
+let adjacency t id =
+  match Hashtbl.find_opt t.adj id with
+  | None -> []
+  | Some nbrs -> List.map (fun (rel, _, other) -> (rel, other)) (Dyn.to_list nbrs)
+
 let intern_path_labels t (p : Schema_graph.path) =
   Array.iter (fun ty -> ignore (node_label_of t ty)) p.Schema_graph.types;
   Array.iter (fun rel -> ignore (edge_label_of t rel)) p.Schema_graph.rels
 
 let is_palindromic (p : Schema_graph.path) = p = Schema_graph.reverse p
 
-(* Walk the schema path from [source], position by position, keeping the
-   visited set for simplicity.  [target] optionally pins the final node. *)
-let iter_from t (p : Schema_graph.path) ~source ?target ~f () =
-  let l = Schema_graph.path_length p in
-  let type_labels = Array.map (fun ty -> node_label_of t ty) p.Schema_graph.types in
-  let rel_labels = Array.map (fun rel -> edge_label_of t rel) p.Schema_graph.rels in
+(* A schema path with its labels resolved to intern ids once, so a walk
+   compares integers only.  Compiling only reads the pool: a label it has
+   never seen is carried by no node or edge, so it compiles to -1, which
+   matches nothing. *)
+type compiled = { c_types : int array; c_rels : int array }
+
+let compile t (p : Schema_graph.path) =
+  let id s = Option.value ~default:(-1) (Topo_util.Interner.find_opt t.pool s) in
+  {
+    c_types = Array.map (fun ty -> id ("n:" ^ ty)) p.Schema_graph.types;
+    c_rels = Array.map (fun rel -> id ("e:" ^ rel)) p.Schema_graph.rels;
+  }
+
+(* The one walker: depth first along [c] from [source], one position at a
+   time.  An instance path is simple, so a candidate is rejected when it
+   already sits in the current prefix (at most l+1 nodes, scanned in
+   place).  [target] pins the final node.  [emit] receives the prefix
+   buffer itself, valid only during the call. *)
+let walk t c ~source ?target ~emit () =
+  let l = Array.length c.c_rels in
   match Hashtbl.find_opt t.node_type source with
-  | Some label when label = type_labels.(0) ->
-      let current = Array.make (l + 1) 0 in
-      current.(0) <- source;
-      let visited = Hashtbl.create 16 in
-      Hashtbl.add visited source ();
+  | Some label when label = c.c_types.(0) ->
+      let current = Array.make (l + 1) source in
+      let rec on_prefix id i = i >= 0 && (current.(i) = id || on_prefix id (i - 1)) in
       let rec step pos =
-        if pos = l then begin
-          match target with
-          | Some tgt when current.(l) <> tgt -> ()
-          | Some _ | None -> f (Array.copy current)
-        end
+        if pos = l then emit current
         else begin
-          let want_rel = rel_labels.(pos) and want_ty = type_labels.(pos + 1) in
-          let nbrs = Hashtbl.find t.adj current.(pos) in
+          let want_rel = c.c_rels.(pos) and want_ty = c.c_types.(pos + 1) in
+          let last = pos + 1 = l in
           Dyn.iter
-            (fun (rel, other) ->
+            (fun (rel, ty, other) ->
               if
                 rel = want_rel
-                && (not (Hashtbl.mem visited other))
-                && Hashtbl.find t.node_type other = want_ty
+                && ty = want_ty
+                && (match target with Some tgt when last -> other = tgt | Some _ | None -> true)
+                && (not (on_prefix other pos))
               then begin
-                Hashtbl.add visited other ();
                 current.(pos + 1) <- other;
-                step (pos + 1);
-                Hashtbl.remove visited other
+                step (pos + 1)
               end)
-            nbrs
+            (Hashtbl.find t.adj current.(pos))
         end
       in
       step 0
   | Some _ | None -> ()
 
+let iter_ends t c ~source ~f =
+  let l = Array.length c.c_rels in
+  walk t c ~source ~emit:(fun current -> f current.(l)) ()
+
+exception Exists
+
+let exists_between t c ~a ~b =
+  try
+    walk t c ~source:a ~target:b ~emit:(fun _ -> raise Exists) ();
+    false
+  with Exists -> true
+
+(* The enumerations hand out copies of the walker's buffer. *)
+let iter_from t p ~source ?target ~f () =
+  walk t (compile t p) ~source ?target ~emit:(fun current -> f (Array.copy current)) ()
+
 let iter_instance_paths t p ~f =
+  let c = compile t p in
   let palindromic = is_palindromic p in
-  let sources = entities_of_type t p.Schema_graph.types.(0) in
   let l = Schema_graph.path_length p in
   Array.iter
     (fun source ->
-      iter_from t p ~source
-        ~f:(fun ids ->
+      walk t c ~source
+        ~emit:(fun current ->
           (* A palindromic path is discovered from both endpoints; keep the
              traversal from the smaller id. *)
-          if (not palindromic) || ids.(0) < ids.(l) then f ids)
+          if (not palindromic) || current.(0) < current.(l) then f (Array.copy current))
         ())
-    sources
+    (entities_of_type t p.Schema_graph.types.(0))
 
 let iter_instance_paths_between t p ~a ~b ~f = iter_from t p ~source:a ~target:b ~f ()
 
@@ -149,7 +179,6 @@ let neighbors_by t ~id ~rel ~ty =
   | Some nbrs ->
       let want_rel = edge_label_of t rel and want_ty = node_label_of t ty in
       Dyn.fold
-        (fun acc (r, other) ->
-          if r = want_rel && Hashtbl.find t.node_type other = want_ty then other :: acc else acc)
+        (fun acc (r, ty, other) -> if r = want_rel && ty = want_ty then other :: acc else acc)
         [] nbrs
       |> List.sort compare

@@ -39,13 +39,41 @@ val node_type_label : t -> int -> int
 (** [interner t]. *)
 val interner : t -> Topo_util.Interner.t
 
+(** [adjacency t id] is [id]'s incident edges as (interned ["e:<rel>"]
+    label, neighbor) pairs in insertion order, the order every walk visits
+    them (empty for unregistered ids). *)
+val adjacency : t -> int -> (int * int) list
+
 (** [intern_path_labels t path] interns every ["n:<ty>"] / ["e:<rel>"]
-    label the path mentions.  Call it before fanning path enumeration out
-    to other domains: afterwards enumeration over [path] only {e reads}
-    the shared intern pool, so concurrent traversals are safe. *)
+    label the path mentions.  Enumeration itself only reads the pool; call
+    this before fanning out work that builds subgraphs of [path]'s
+    instances on other domains, so that work only {e reads} the shared
+    intern pool too. *)
 val intern_path_labels : t -> Schema_graph.path -> unit
 
-(** [iter_instance_paths t path ~f] calls [f] with the node-id array of
+(** A schema path compiled against the graph's intern pool: its labels
+    resolved to ids once, so walking it compares integers only. *)
+type compiled
+
+(** [compile t path] resolves [path]'s labels.  It only reads the intern
+    pool (a label never interned matches no node or edge), so it is safe
+    on any domain; compile after the graph is fully loaded. *)
+val compile : t -> Schema_graph.path -> compiled
+
+(** [iter_ends t c ~source ~f] calls [f] with the last node of every
+    simple instance path of [c] beginning at [source], in the order
+    {!iter_instance_paths_from} yields the paths (an end node repeats once
+    per path reaching it).  Copies no arrays. *)
+val iter_ends : t -> compiled -> source:int -> f:(int -> unit) -> unit
+
+(** [exists_between t c ~a ~b] is true when some instance path of [c]
+    starts at [a] and ends at [b]; stops at the first one. *)
+val exists_between : t -> compiled -> a:int -> b:int -> bool
+
+(** The three enumerations below compile their path once per call and
+    walk it with the same walker as {!iter_ends} and {!exists_between}.
+
+    [iter_instance_paths t path ~f] calls [f] with the node-id array of
     every simple instance path realizing the schema [path] (oriented as
     given), each instance exactly once: for a palindromic label sequence
     the traversal from the higher-id endpoint is suppressed.  [f] may raise

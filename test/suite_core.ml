@@ -513,6 +513,204 @@ let test_analysis_top_frequent_simple () =
   (* Figure 12: most frequent topologies have simple structure. *)
   Alcotest.(check bool) (Printf.sprintf "top-10 mostly simple (%.2f)" frac) true (frac >= 0.6)
 
+(* --- pruned-check probe and compiled walker ---------------------------------- *)
+
+module Sg = Topo_graph.Schema_graph
+module Dg = Topo_graph.Data_graph
+module Prng = Topo_util.Prng
+
+(* Ground truth for a pruned topology: some precomputed pair carries its
+   TID and qualifies on both ends. *)
+let pruned_oracle (ctx : Context.t) (aligned : Methods.aligned) (p : Topology.t) =
+  List.exists
+    (fun (r : Compute.pair_row) ->
+      List.mem p.Topology.tid r.Compute.tids
+      && Context.satisfies ctx aligned.Methods.ea r.Compute.a
+      && Context.satisfies ctx aligned.Methods.eb r.Compute.b)
+    aligned.Methods.store.Store.rows
+
+(* A keyword, equality or unconstrained endpoint.  Equality is DNA.type on
+   DNA and an id drawn from the precomputed pairs elsewhere, so selective
+   endpoints still meet pruned pairs. *)
+let draw_endpoint rng cat (store : Store.t) entity =
+  let ids =
+    List.concat_map
+      (fun (r : Compute.pair_row) ->
+        (if store.Store.t1 = entity then [ r.Compute.a ] else [])
+        @ if store.Store.t2 = entity then [ r.Compute.b ] else [])
+      store.Store.rows
+  in
+  match Prng.int rng 3 with
+  | 0 -> Query.endpoint cat entity
+  | 1 when entity = "DNA" ->
+      let ty = fst (Prng.choose rng (Array.of_list Biozon.Vocab.dna_types)) in
+      Query.equals cat "DNA" ~col:"type" ~value:(Value.Str ty)
+  | 1 -> Query.equals cat entity ~col:"ID" ~value:(Value.Int (Prng.choose rng (Array.of_list ids)))
+  | _ ->
+      let words =
+        List.map fst (Biozon.Vocab.protein_keywords @ Biozon.Vocab.interaction_keywords)
+        @ [ "putative"; "membrane"; "domain"; "nuclear"; "zinc" ]
+      in
+      Query.keyword cat entity ~col:"desc" ~kw:(Prng.choose rng (Array.of_list words))
+
+let prop_probe_oracle =
+  QCheck.Test.make ~name:"pruned checks match Store.rows; one shared probe = fresh probes" ~count:25
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let cat, engine = Lazy.force synthetic_engine in
+      let ctx = engine.Engine.ctx in
+      let rng = Prng.create seed in
+      let pairs = Hashtbl.fold (fun pair _ acc -> pair :: acc) ctx.Context.stores [] |> List.sort compare in
+      List.for_all
+        (fun (t1, t2) ->
+          List.for_all
+            (fun (e1, e2) ->
+              let store = Engine.store engine ~t1 ~t2 in
+              let q =
+                if Prng.int rng 4 = 0 then begin
+                  (* Both ends pinned to one precomputed pair: every check
+                     meets the same few candidates, so a verdict leaking
+                     from one topology into the next shows. *)
+                  let r = Prng.choose rng (Array.of_list store.Store.rows) in
+                  let pin entity id = Query.equals cat entity ~col:"ID" ~value:(Value.Int id) in
+                  let ea = pin t1 r.Compute.a and eb = pin t2 r.Compute.b in
+                  if e1 = t1 then Query.make ea eb else Query.make eb ea
+                end
+                else Query.make (draw_endpoint rng cat store e1) (draw_endpoint rng cat store e2)
+              in
+              let aligned = Methods.align ctx q in
+              let pruned = Array.of_list store.Store.pruned in
+              let fresh = Array.map (Methods.pruned_check ctx aligned) pruned in
+              Array.iteri
+                (fun i p ->
+                  if fresh.(i) <> pruned_oracle ctx aligned p then
+                    QCheck.Test.fail_reportf "%s: TID %d pruned_check %b, rows say %b"
+                      (Query.to_string q) p.Topology.tid fresh.(i) (not fresh.(i)))
+                pruned;
+              let order = Array.init (Array.length pruned) Fun.id in
+              Prng.shuffle rng order;
+              let shared = Methods.probe ctx aligned in
+              Array.iter
+                (fun i ->
+                  if Methods.probe_check shared pruned.(i) <> fresh.(i) then
+                    QCheck.Test.fail_reportf "%s: TID %d differs through a shared probe"
+                      (Query.to_string q) pruned.(i).Topology.tid)
+                order;
+              true)
+            [ (t1, t2); (t2, t1) ])
+        pairs)
+
+(* The walker as it was before compiled paths: labels interned per walk and
+   a per-walk visited table.  Visits neighbors in adjacency order. *)
+let reference_walk dg (p : Sg.path) ~source ~f =
+  let label s = Topo_util.Interner.find_opt (Dg.interner dg) s in
+  let types = Array.map (fun ty -> label ("n:" ^ ty)) p.Sg.types in
+  let rels = Array.map (fun rel -> label ("e:" ^ rel)) p.Sg.rels in
+  let type_of id = Some (Dg.node_type_label dg id) in
+  let l = Array.length rels in
+  if types.(0) <> None && type_of source = types.(0) then begin
+    let current = Array.make (l + 1) source in
+    let visited = Hashtbl.create 16 in
+    Hashtbl.add visited source ();
+    let rec step pos =
+      if pos = l then f (Array.copy current)
+      else
+        List.iter
+          (fun (rel, other) ->
+            if
+              Some rel = rels.(pos)
+              && (not (Hashtbl.mem visited other))
+              && type_of other = types.(pos + 1)
+            then begin
+              Hashtbl.add visited other ();
+              current.(pos + 1) <- other;
+              step (pos + 1);
+              Hashtbl.remove visited other
+            end)
+          (Dg.adjacency dg current.(pos))
+    in
+    step 0
+  end
+
+let collect iter =
+  let acc = ref [] in
+  iter (fun x -> acc := x :: !acc);
+  List.rev !acc
+
+let same_type_engine =
+  lazy
+    (let params = Biozon.Generator.scale 0.08 Biozon.Generator.default in
+     Engine.build (Biozon.Generator.generate params)
+       ~pairs:[ ("Protein", "DNA"); ("Protein", "Protein") ]
+       ~pruning_threshold:10 ())
+
+let test_compiled_walker_matches_reference () =
+  let engine = Lazy.force same_type_engine in
+  let ctx = engine.Engine.ctx in
+  let dg = ctx.Context.dg in
+  let keys = Hashtbl.fold (fun key _ acc -> key :: acc) ctx.Context.class_paths [] |> List.sort compare in
+  let palindromes = ref 0 and reversed = ref 0 and paths = ref 0 in
+  List.iter
+    (fun key ->
+      let p = Context.class_path ctx key in
+      let rev = Sg.reverse p in
+      let walks = if p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p then [ p; rev ] else [ p ] in
+      if rev = p then incr palindromes;
+      if List.length walks = 2 then incr reversed;
+      let sources = Dg.entities_of_type dg p.Sg.types.(0) in
+      (* Every fifth source, plus the last. *)
+      let sampled =
+        List.filteri (fun i _ -> i mod 5 = 0 || i = Array.length sources - 1) (Array.to_list sources)
+      in
+      List.iter
+        (fun source ->
+          let expected = List.concat_map (fun w -> collect (fun f -> reference_walk dg w ~source ~f)) walks in
+          paths := !paths + List.length expected;
+          let got =
+            List.concat_map (fun w -> collect (fun f -> Dg.iter_instance_paths_from dg w ~source ~f)) walks
+          in
+          let label = Printf.sprintf "%s from %d" key source in
+          Alcotest.(check (list (array int))) label expected got;
+          let last ids = ids.(Array.length ids - 1) in
+          let ends =
+            List.concat_map
+              (fun c -> collect (fun f -> Dg.iter_ends dg c ~source ~f))
+              (Context.class_walks ctx key)
+          in
+          Alcotest.(check (list int)) (label ^ ": end nodes") (List.map last expected) ends;
+          (* Anchored walks: every reached end, and some that are not. *)
+          List.iter
+            (fun b ->
+              let between =
+                List.concat_map
+                  (fun w -> collect (fun f -> Dg.iter_instance_paths_between dg w ~a:source ~b ~f))
+                  walks
+              in
+              Alcotest.(check (list (array int)))
+                (Printf.sprintf "%s to %d" label b)
+                (List.filter (fun ids -> last ids = b) expected)
+                between;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s exists to %d" label b)
+                (between <> [])
+                (Context.class_exists_between ctx key ~a:source ~b))
+            (List.sort_uniq compare ends
+            @ Array.to_list (Array.sub (Dg.entities_of_type dg p.Sg.types.(Array.length p.Sg.types - 1)) 0 3)))
+        sampled;
+      (* The unanchored sweep keeps one traversal of each palindromic
+         instance. *)
+      let full = collect (fun f -> Dg.iter_instance_paths dg p ~f) in
+      let l = Sg.path_length p in
+      let reference =
+        List.concat_map (fun source -> collect (fun f -> reference_walk dg p ~source ~f)) (Array.to_list sources)
+        |> List.filter (fun ids -> rev <> p || ids.(0) < ids.(l))
+      in
+      Alcotest.(check (list (array int))) (key ^ ": full sweep") reference full)
+    keys;
+  Alcotest.(check bool) "palindromic classes covered" true (!palindromes > 0);
+  Alcotest.(check bool) "same-type reversed classes covered" true (!reversed > 0);
+  Alcotest.(check bool) (Printf.sprintf "instances walked (%d)" !paths) true (!paths > 100)
+
 let suites =
   [
     ( "core.definitions",
@@ -540,6 +738,12 @@ let suites =
         Alcotest.test_case "top-k is ranking prefix" `Quick test_topk_prefix_of_full_ranking;
         Alcotest.test_case "IDGJ = HDGJ answers" `Quick test_et_impls_equivalent;
         Alcotest.test_case "ET does less work" `Quick test_counters_show_early_termination;
+      ] );
+    ( "core.probe",
+      [
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |]) prop_probe_oracle;
+        Alcotest.test_case "compiled walker = reference walker" `Quick
+          test_compiled_walker_matches_reference;
       ] );
     ( "core.ranking",
       [

@@ -103,6 +103,48 @@ let test_class_exists_between () =
   Alcotest.(check bool) "(78,215) has PUD" true (Context.class_exists_between ctx key ~a:78 ~b:215);
   Alcotest.(check bool) "(32,215) lacks PUD" false (Context.class_exists_between ctx key ~a:32 ~b:215)
 
+(* Every pair of every built entity-set pair, against every registered class
+   of that pair: the point check agrees with the offline sweep's class keys
+   (which enumerate instances from every source, not from one anchor).  The
+   Protein-Protein pair exercises same-type reversals in both argument
+   orders. *)
+let test_class_exists_between_all_pairs () =
+  let cat = Biozon.Paper_db.catalog () in
+  let engine =
+    Engine.build cat ~pairs:[ ("Protein", "DNA"); ("Protein", "Protein") ] ~pruning_threshold:50 ()
+  in
+  let ctx = engine.Engine.ctx in
+  let dg = ctx.Context.dg in
+  let positives = ref 0 in
+  List.iter
+    (fun (t1, t2) ->
+      let store = Engine.store engine ~t1 ~t2 in
+      let keys = List.map Sg.path_key (Sg.paths ctx.Context.schema ~from_:t1 ~to_:t2 ~max_len:ctx.Context.l) in
+      let row_keys a b =
+        let a, b = if t1 = t2 && a > b then (b, a) else (a, b) in
+        match List.find_opt (fun (r : Compute.pair_row) -> r.Compute.a = a && r.Compute.b = b) store.Store.rows with
+        | Some r -> r.Compute.class_keys
+        | None -> []
+      in
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b ->
+              if a <> b then
+                List.iter
+                  (fun key ->
+                    let expected = List.mem key (row_keys a b) in
+                    if expected then incr positives;
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s-%s (%d,%d) %s" t1 t2 a b key)
+                      expected
+                      (Context.class_exists_between ctx key ~a ~b))
+                  keys)
+            (Topo_graph.Data_graph.entities_of_type dg t2))
+        (Topo_graph.Data_graph.entities_of_type dg t1))
+    [ ("Protein", "DNA"); ("Protein", "Protein") ];
+  Alcotest.(check bool) (Printf.sprintf "positive cases (%d)" !positives) true (!positives >= 10)
+
 let test_satisfying_ids () =
   let cat = Biozon.Paper_db.catalog () in
   let engine = Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:50 () in
@@ -158,6 +200,8 @@ let suites =
     ( "misc.context",
       [
         Alcotest.test_case "class_exists_between" `Quick test_class_exists_between;
+        Alcotest.test_case "class_exists_between = sweep class keys" `Quick
+          test_class_exists_between_all_pairs;
         Alcotest.test_case "satisfying_ids" `Quick test_satisfying_ids;
       ] );
     ( "misc.prng",

@@ -187,6 +187,55 @@ let test_traces_attached () =
   let without, _ = serve_forced ~jobs:2 engine requests in
   Alcotest.(check bool) "no trace unless requested" true ((List.hd without).Request.trace = None)
 
+(* Tracing is observation only: a Fast-* batch fingerprints the same with
+   and without traces, and every span that checks pruned topologies
+   reports the probe's one A-side scan and how many topologies it
+   checked. *)
+let test_traced_fast_batch_fingerprint () =
+  let engine =
+    Engine.build (Biozon.Paper_db.catalog ()) ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:0 ()
+  in
+  let catalog = engine.Engine.ctx.Context.catalog in
+  let queries =
+    [
+      Query.q1 catalog;
+      Query.make (Query.keyword catalog "Protein" ~col:"desc" ~kw:"enzyme") (Query.endpoint catalog "DNA");
+      Query.make (Query.endpoint catalog "DNA") (Query.endpoint catalog "Protein");
+    ]
+  in
+  let requests =
+    List.concat_map
+      (fun method_ -> List.map (fun q -> Request.make ~k:2 method_ q) queries)
+      [ Engine.Fast_top; Engine.Fast_top_k; Engine.Fast_top_k_et; Engine.Fast_top_k_opt ]
+  in
+  let traced, _ = serve_forced ~jobs:2 ~traces:true engine requests in
+  let untraced, _ = serve_forced ~jobs:2 engine requests in
+  Alcotest.(check string) "traced = untraced fingerprint" (Serve.fingerprint untraced)
+    (Serve.fingerprint traced);
+  let rec spans acc sp = List.fold_left spans (sp :: acc) (Trace.children sp) in
+  let probe_spans =
+    List.concat_map
+      (fun (o : Request.outcome) ->
+        match o.Request.trace with
+        | Some tr ->
+            List.fold_left spans [] (Trace.roots tr)
+            |> List.filter (fun sp -> List.mem (Trace.name sp) [ "pruned_checks"; "merge_with_pruned" ])
+        | None -> Alcotest.fail "traces requested but absent")
+      traced
+  in
+  Alcotest.(check bool) "probe spans present" true (probe_spans <> []);
+  let tag sp key =
+    match List.assoc_opt key (Trace.tags sp) with
+    | Some v -> int_of_string v
+    | None -> Alcotest.failf "%s span lacks the %s tag" (Trace.name sp) key
+  in
+  List.iter
+    (fun sp ->
+      Alcotest.(check bool) "no scan without a check" true (tag sp "checked" > 0 || tag sp "a_ids" = 0))
+    probe_spans;
+  Alcotest.(check bool) "some span checked and scanned" true
+    (List.exists (fun sp -> tag sp "checked" > 0 && tag sp "a_ids" > 0) probe_spans)
+
 (* --- pool: concurrent batch submitters ------------------------------------ *)
 
 let test_pool_queues_second_batch () =
@@ -242,6 +291,8 @@ let suites =
         Alcotest.test_case "with_scope isolates and restores" `Quick test_with_scope_isolation;
         Alcotest.test_case "one failing query spares the batch" `Quick test_error_isolated;
         Alcotest.test_case "traces attach per query on demand" `Quick test_traces_attached;
+        Alcotest.test_case "traced Fast-* batch fingerprints as untraced" `Quick
+          test_traced_fast_batch_fingerprint;
       ] );
     ( "serve.pool",
       [
