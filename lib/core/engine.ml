@@ -147,9 +147,6 @@ let eval t (req : Request.t) ?impls ?(verify_plans = false) ?cache ?trace ?budge
 let run t query ~method_ ?scheme ?k ?impls ?verify_plans ?trace () =
   eval t (Request.make ?scheme ?k method_ query) ?impls ?verify_plans ?trace ()
 
-(* All-zero counter snapshot for outcomes that never evaluated. *)
-let no_work = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 }
-
 let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Request.t) =
   let trace = if traces then Some (Topo_obs.Trace.create ()) else None in
   (* Verification mode re-checks every plan the evaluation builds.  A
@@ -158,22 +155,16 @@ let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Reques
      lookups re-verify memoized plans before serving them
      (Cache.find_plan ?check via Methods.regular_plan_cached). *)
   let result_cache = if verify_plans then None else cache in
+  let served_by = (Domain.self () :> int) in
   let outcome result counters status =
-    {
-      Request.request = req;
-      result;
-      counters;
-      served_by = (Domain.self () :> int);
-      trace;
-      cache = status;
-    }
+    { Request.request = req; result; counters; served_by; trace; cache = status }
   in
   match req.Request.deadline with
   | Some d when Budget.expired_now ~now:(Unix.gettimeofday ()) d ->
       (* Expired before any work started: short-circuit ahead of the
          cache lookup and the counter scope, so a rejected request is
          observably free — no cache traffic, no counter activity. *)
-      outcome (Request.Rejected Request.Expired) no_work Request.Uncached
+      { (Request.unevaluated ~served_by req (Request.Rejected Request.Expired)) with trace }
   | deadline -> (
       let budget = Option.map Budget.start deadline in
       let lift = function

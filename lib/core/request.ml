@@ -88,6 +88,11 @@ type outcome = {
   cache : cache_status;
 }
 
+let no_work = { Topo_sql.Iterator.Counters.tuples = 0; index_probes = 0; rows_scanned = 0 }
+
+let unevaluated ~served_by request result =
+  { request; result; counters = no_work; served_by; trace = None; cache = Uncached }
+
 let endpoint_key (e : Query.endpoint) =
   e.Query.entity ^ "["
   ^ (match e.Query.pred with None -> "" | Some p -> Topo_sql.Expr.to_string p)
@@ -134,7 +139,6 @@ exception Remote_failure of string
 let () = Printexc.register_printer (function Remote_failure msg -> Some msg | _ -> None)
 
 module E = Topo_sql.Expr
-module V = Topo_sql.Value
 
 let method_tag m =
   let rec idx i = function
@@ -167,33 +171,13 @@ let cmp_of_tag = function
   | 5 -> E.Ge
   | t -> Wire.fail "corrupt predicate: unknown comparison tag %d" t
 
-let w_value buf = function
-  | V.Null -> Wire.w_u8 buf 0
-  | V.Int i ->
-      Wire.w_u8 buf 1;
-      Wire.w_i64 buf i
-  | V.Float f ->
-      Wire.w_u8 buf 2;
-      Wire.w_f64 buf f
-  | V.Str s ->
-      Wire.w_u8 buf 3;
-      Wire.w_str buf s
-
-let r_value r =
-  match Wire.r_u8 r "value tag" with
-  | 0 -> V.Null
-  | 1 -> V.Int (Wire.r_i64 r "int value")
-  | 2 -> V.Float (Wire.r_f64 r "float value")
-  | 3 -> V.Str (Wire.r_str r "string value")
-  | t -> Wire.fail "corrupt predicate: unknown value tag %d" t
-
 let rec w_expr buf = function
   | E.Col i ->
       Wire.w_u8 buf 0;
       Wire.w_u32 buf i
   | E.Const v ->
       Wire.w_u8 buf 1;
-      w_value buf v
+      Wire.w_value buf v
   | E.Cmp (c, a, b) ->
       Wire.w_u8 buf 2;
       Wire.w_u8 buf (cmp_tag c);
@@ -221,7 +205,7 @@ let rec w_expr buf = function
 let rec r_expr r =
   match Wire.r_u8 r "predicate tag" with
   | 0 -> E.Col (Wire.r_u32 r "column position")
-  | 1 -> E.Const (r_value r)
+  | 1 -> E.Const (Wire.r_value r "constant")
   | 2 ->
       let c = cmp_of_tag (Wire.r_u8 r "comparison tag") in
       let a = r_expr r in
@@ -377,14 +361,18 @@ let payload_of write v =
   write buf v;
   Buffer.contents buf
 
-let decode_as ~kind ~what read data =
-  let k, payload = Wire.decode_frame data in
-  if k <> kind then
-    Wire.fail "expected a %s frame, got a %s frame" (Wire.kind_name kind) (Wire.kind_name k);
+(* Decodes a whole payload with [read]; trailing bytes are an error. *)
+let read_all ~what read payload =
   let r = Wire.reader ~what payload in
   let v = read r in
   Wire.r_end r;
   v
+
+let decode_as ~kind ~what read data =
+  let k, payload = Wire.decode_frame data in
+  if k <> kind then
+    Wire.fail "expected a %s frame, got a %s frame" (Wire.kind_name kind) (Wire.kind_name k);
+  read_all ~what read payload
 
 let to_wire req = Wire.frame ~kind:Wire.kind_request (payload_of write_payload req)
 
@@ -394,3 +382,29 @@ let outcome_to_wire o = Wire.frame ~kind:Wire.kind_outcome (payload_of write_out
 
 let outcome_of_wire data =
   decode_as ~kind:Wire.kind_outcome ~what:"outcome payload" read_outcome_payload data
+
+(* Batch payloads: a u32 item count, then the items' payloads back to
+   back.  The router writes request batches and reads outcome batches;
+   the shard does the converse. *)
+let write_batch write items =
+  let buf = Buffer.create 4096 in
+  Wire.w_u32 buf (List.length items);
+  List.iter (write buf) items;
+  Buffer.contents buf
+
+let read_batch ~what ~item read payload =
+  read_all ~what
+    (fun r ->
+      let n = Wire.r_count r "batch size" in
+      Wire.r_list r n item (fun () -> read r))
+    payload
+
+let batch_to_payload reqs = write_batch write_payload reqs
+
+let batch_of_payload payload =
+  read_batch ~what:"batch request payload" ~item:"batch request" read_payload payload
+
+let outcomes_to_payload outcomes = write_batch write_outcome_payload outcomes
+
+let outcomes_of_payload payload =
+  read_batch ~what:"batch outcome payload" ~item:"batch outcome" read_outcome_payload payload

@@ -82,6 +82,11 @@ type outcome = {
   cache : cache_status;
 }
 
+(** [unevaluated ~served_by req result] is the outcome of a request that
+    never reached evaluation — turned away at admission, or failed
+    before a shard answered: all-zero counters, no trace, [Uncached]. *)
+val unevaluated : served_by:int -> t -> outcome_result -> outcome
+
 (** [key r] is the canonical result-cache key.  Orientation is normalized
     (the two endpoint renderings are sorted when the entity sets differ —
     evaluation aligns to the stored pair, so both phrasings answer
@@ -132,14 +137,21 @@ val outcome_to_wire : outcome -> string
     {!outcome_to_wire}.  @raise Wire.Error on violation. *)
 val outcome_of_wire : string -> outcome
 
-(** Payload-level codecs, for embedding many requests/outcomes in one
-    batch frame ({!Wire.kind_batch_request} / {!Wire.kind_batch_outcome})
-    without per-message frame overhead. *)
+(** {2 Batch payloads}
 
-val write_payload : Buffer.t -> t -> unit
+    One [batch-request] / [batch-outcome] frame ({!Wire.kind_batch_request}
+    / {!Wire.kind_batch_outcome}) carries many requests or outcomes
+    without per-message frame overhead: a u32 item count, then each
+    item's payload in the single-frame layout, back to back.  These
+    functions produce and consume the frame {e payload}; {!Wire.send}
+    and {!Wire.recv} add and strip the envelope. *)
 
-val read_payload : Wire.reader -> t
+val batch_to_payload : t list -> string
 
-val write_outcome_payload : Buffer.t -> outcome -> unit
+(** @raise Wire.Error on any codec violation, including trailing bytes. *)
+val batch_of_payload : string -> t list
 
-val read_outcome_payload : Wire.reader -> outcome
+val outcomes_to_payload : outcome list -> string
+
+(** @raise Wire.Error on any codec violation, including trailing bytes. *)
+val outcomes_of_payload : string -> outcome list

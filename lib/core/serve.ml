@@ -5,14 +5,14 @@
    Each query keeps its single-coordinator evaluation (the paper's online
    phase is inherently one plan per query); what parallelizes is the
    *batch* — one pool task per query, one query per domain at a time.
-   Every domain works through a [handle]: the shared, read-only engine
-   (catalog, stores, topology registry, interner, data graph — all frozen
-   after the offline build) plus per-domain scratch state.  Evaluation
-   itself is [Engine.run_request] — the canonical single-query entry
-   point — which isolates each query in a fresh [Iterator.Counters]
-   scope, attaches a private [Trace.t] on demand, consults the optional
-   shared [Cache.t], and enforces the request's deadline (admission-time
-   expiry, mid-evaluation [Partial] truncation).
+   Every domain reads the same engine (catalog, stores, topology
+   registry, interner, data graph — all frozen after the offline build).
+   Evaluation itself is [Engine.run_request] — the canonical
+   single-query entry point — which isolates each query in a fresh
+   [Iterator.Counters] scope, attaches a private [Trace.t] on demand,
+   consults the optional shared [Cache.t], and enforces the request's
+   deadline (admission-time expiry, mid-evaluation [Partial]
+   truncation).
 
    The cache is per engine and shared across the serving domains: lookups
    are lock-free snapshot reads, inserts serialize on the cache's own
@@ -106,39 +106,6 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain engine handles                                           *)
-
-type handle = {
-  h_domain : int;
-  mutable h_served : int;  (* queries evaluated through this handle *)
-}
-
-(* One handle per (domain, engine): lazily created the first time a domain
-   picks up a query for a given engine, reused for the rest of the batch
-   (and across batches when the caller keeps a pool alive).  The DLS slot
-   holds a small assoc keyed by engine so a domain serving several engines
-   keeps every handle's h_served intact — and the key is a weak pointer
-   ([Topo_core]'s own [Weak] module shadows the stdlib one, hence
-   [Stdlib.Weak]), so a retired engine is not pinned in domain-local
-   storage forever: its entry is dropped the next time the slot is
-   updated after collection. *)
-let handle_slot : (Engine.t Stdlib.Weak.t * handle) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
-
-let handle_for engine =
-  let entries = Domain.DLS.get handle_slot in
-  let holds w = match Stdlib.Weak.get w 0 with Some e -> e == engine | None -> false in
-  match List.find_opt (fun (w, _) -> holds w) entries with
-  | Some (_, h) -> h
-  | None ->
-      let w = Stdlib.Weak.create 1 in
-      Stdlib.Weak.set w 0 (Some engine);
-      let h = { h_domain = (Domain.self () :> int); h_served = 0 } in
-      let live = List.filter (fun (w', _) -> Stdlib.Weak.check w' 0) entries in
-      Domain.DLS.set handle_slot ((w, h) :: live);
-      h
-
-(* ------------------------------------------------------------------ *)
 (* Closed loop                                                         *)
 
 (* Returns the jobs used, the outcomes in input order, and the batch's
@@ -153,18 +120,6 @@ let closed_loop pool ~eval requests =
 (* Open loop                                                           *)
 
 let with_lock m f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-(* An outcome manufactured on the coordinator for a request the admission
-   queue turned away: no evaluation, no counters, no cache traffic. *)
-let overloaded_outcome req =
-  {
-    Request.request = req;
-    result = Request.Rejected Request.Overloaded;
-    counters = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
-    served_by = (Domain.self () :> int);
-    trace = None;
-    cache = Request.Uncached;
-  }
 
 (* Replays [oc.schedule] on [jobs] worker domains.  Returns the timed
    outcomes in intended-arrival order and the run's wall time. *)
@@ -245,7 +200,13 @@ let open_loop ~jobs oc ~eval requests =
       in
       if not admitted then begin
         let t = now () in
-        record idx (overloaded_outcome req) ~started:t ~finished:t
+        (* Turned away on the coordinator: no evaluation, no counters, no
+           cache traffic. *)
+        let o =
+          Request.unevaluated ~served_by:(Domain.self () :> int) req
+            (Request.Rejected Request.Overloaded)
+        in
+        record idx o ~started:t ~finished:t
       end)
     arrivals;
   with_lock lock (fun () ->
@@ -281,11 +242,7 @@ let cap_jobs j = max 1 (min j (Domain.recommended_domain_count ()))
 
 let exec cfg engine requests =
   let before = Option.map Cache.totals cfg.cache in
-  let eval req =
-    let handle = handle_for engine in
-    handle.h_served <- handle.h_served + 1;
-    Engine.run_request engine ?cache:cfg.cache ~traces:cfg.traces req
-  in
+  let eval req = Engine.run_request engine ?cache:cfg.cache ~traces:cfg.traces req in
   let jobs, outcomes, timed, elapsed_s =
     match cfg.mode with
     | Closed ->

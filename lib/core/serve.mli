@@ -5,10 +5,9 @@
 
     Each query keeps its single-coordinator evaluation; the {e batch} is
     what parallelizes — one {!Topo_util.Pool} task per query, one query per
-    domain at a time.  Domains work through a per-domain {e engine handle}:
-    the shared read-only engine state (catalog, stores, topology registry,
-    interner, data graph — frozen after the offline build) plus per-domain
-    scratch.  Each query is evaluated by {!Engine.run_request}: a fresh
+    domain at a time.  Every domain reads the same engine state (catalog,
+    stores, topology registry, interner, data graph — frozen after the
+    offline build).  Each query is evaluated by {!Engine.run_request}: a fresh
     {!Topo_sql.Iterator.Counters} scope, a private trace sink when tracing
     is requested, the optional shared {!Cache.t}, and the request's
     deadline enforced (admission-time expiry, mid-evaluation [Partial]

@@ -5,17 +5,20 @@
      magic "TOPOWIRE" | version u16 | kind u8 | payload length u32
      | payload checksum (MD5, 16 raw bytes) | payload bytes
 
-   All integers are little-endian, matching the snapshot codec; the
-   header is a fixed 31 bytes so a reader can pull it in one blocking
-   read and know exactly how much payload follows.  The checksum covers
-   every payload byte, so a flipped bit in transit is a loud [Error],
-   never a silently wrong answer.
+   All integers are little-endian; the header is a fixed 31 bytes so a
+   reader can pull it in one blocking read and know exactly how much
+   payload follows.  The checksum covers every payload byte, so a
+   flipped bit in transit is a loud [Error], never a silently wrong
+   answer.
 
-   This module is deliberately *below* [Request] in the module graph: it
-   knows framing, little-endian primitives and socket IO, but nothing
-   about what the payloads mean.  [Request.to_wire]/[Request.of_wire]
-   own the payload codecs and delegate the frame envelope here, so the
-   canonical key, the cache key and the wire form live at one site.
+   This module is deliberately *below* [Request] and [Snapshot] in the
+   module graph: it knows framing, the little-endian primitives, the
+   bounds-checked reader, the scalar value codec and socket IO, but
+   nothing about what the payloads mean.  [Request.to_wire]/
+   [Request.of_wire] own the wire payload codecs and delegate the frame
+   envelope here, so the canonical key, the cache key and the wire form
+   live at one site; [Snapshot] writes and reads its file through the
+   same primitives, so there is one binary codec to fuzz and evolve.
 
    Socket IO: [send]/[recv] speak frames over a connected socket with
    optional read/write timeouts (SO_RCVTIMEO/SO_SNDTIMEO, see
@@ -79,12 +82,26 @@ let w_str buf s =
 
 let w_bool buf b = w_u8 buf (if b then 1 else 0)
 
+let w_value buf = function
+  | Topo_sql.Value.Null -> w_u8 buf 0
+  | Topo_sql.Value.Int i ->
+      w_u8 buf 1;
+      w_i64 buf i
+  | Topo_sql.Value.Float f ->
+      w_u8 buf 2;
+      w_f64 buf f
+  | Topo_sql.Value.Str s ->
+      w_u8 buf 3;
+      w_str buf s
+
 (* ------------------------------------------------------------------ *)
 (* Reader: a bounds-checked cursor over one payload                    *)
 
 type reader = { data : string; mutable pos : int; ctx : string }
 
 let reader ?(what = "payload") data = { data; pos = 0; ctx = what }
+
+let pos r = r.pos
 
 let need r n what =
   if n < 0 || r.pos + n > String.length r.data then
@@ -137,6 +154,20 @@ let r_str r what =
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
+
+let r_span r n what =
+  need r n what;
+  let at = r.pos in
+  r.pos <- at + n;
+  at
+
+let r_value r what =
+  match r_u8 r what with
+  | 0 -> Topo_sql.Value.Null
+  | 1 -> Topo_sql.Value.Int (r_i64 r what)
+  | 2 -> Topo_sql.Value.Float (r_f64 r what)
+  | 3 -> Topo_sql.Value.Str (r_str r what)
+  | t -> fail "corrupt %s: unknown value tag %d reading %s at offset %d" r.ctx t what (r.pos - 1)
 
 let r_bool r what =
   match r_u8 r what with

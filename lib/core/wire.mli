@@ -14,10 +14,12 @@
     v}
 
     This module knows framing, little-endian primitives, a
-    bounds-checked payload reader and socket IO — but nothing about
-    payload contents. {!Request.to_wire}/{!Request.of_wire} own the
-    payload codecs and delegate the envelope here, which keeps [Wire]
-    below [Request] in the module graph.
+    bounds-checked payload reader, the scalar value codec and socket IO
+    — but nothing about payload contents. {!Request.to_wire}/
+    {!Request.of_wire} own the wire payload codecs and delegate the
+    envelope here, and {!Snapshot} writes and reads its files through
+    the same primitives, which keeps [Wire] below both in the module
+    graph.
 
     Every decoding failure — bad magic, cross-version header, oversized
     length, truncation, checksum mismatch, out-of-range tag — raises
@@ -56,8 +58,8 @@ val kind_name : int -> string
 
 (** {1 Writer primitives}
 
-    Little-endian, streamed into a [Buffer.t]; the same conventions as
-    the snapshot codec. *)
+    Little-endian, streamed into a [Buffer.t].  The only binary writers
+    in the library: wire payloads and snapshot files both use them. *)
 
 val w_u8 : Buffer.t -> int -> unit
 
@@ -73,6 +75,10 @@ val w_str : Buffer.t -> string -> unit
 
 val w_bool : Buffer.t -> bool -> unit
 
+val w_value : Buffer.t -> Topo_sql.Value.t -> unit
+(** A tag byte (0 null, 1 int, 2 float, 3 string), then the {!w_i64},
+    {!w_f64} or {!w_str} body. *)
+
 (** {1 Bounds-checked payload reader} *)
 
 type reader
@@ -80,6 +86,9 @@ type reader
 val reader : ?what:string -> string -> reader
 (** [reader ?what payload] starts a cursor at offset 0. [what] names the
     payload in error messages (default ["payload"]). *)
+
+val pos : reader -> int
+(** The cursor's current offset into the payload. *)
 
 val r_u8 : reader -> string -> int
 
@@ -98,6 +107,14 @@ val r_bool : reader -> string -> bool
 val r_count : reader -> string -> int
 (** Like {!r_u32} but additionally rejects counts larger than the bytes
     remaining — a cheap plausibility check on corrupt length fields. *)
+
+val r_span : reader -> int -> string -> int
+(** [r_span r n what] bounds-checks [n] raw bytes, advances past them and
+    returns their start offset in the payload — for fixed-width lanes
+    the caller decodes in place. *)
+
+val r_value : reader -> string -> Topo_sql.Value.t
+(** Reads a {!w_value}; an unknown tag is an {!Error}. *)
 
 val r_list : reader -> int -> string -> (unit -> 'a) -> 'a list
 (** [r_list r n what f] reads [n] elements with [f] in order. *)

@@ -107,6 +107,28 @@ let prop_generated_roundtrip =
           Engine.fingerprint engine = Engine.fingerprint loaded
           && serve_fp engine = serve_fp loaded))
 
+(* Re-saving a loaded full snapshot must reproduce the file byte for byte:
+   the writer may not depend on hash-table order or on state the loader
+   does not restore.  (Slices are excluded: a re-save drops the class-pairs
+   flag, because the loaded engine no longer knows its parent's pairs.) *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let check_resave_identical name engine =
+  with_temp_snapshot engine (fun path ->
+      with_temp_snapshot (Snapshot.load path) (fun path' ->
+          Alcotest.(check bool)
+            (name ^ ": save (load f) is byte-identical to f")
+            true
+            (read_file path = read_file path')))
+
+let test_resave_identity () =
+  check_resave_identical "paper db" (Lazy.force paper_engine);
+  check_resave_identical "generated instance" (generated_engine ())
+
 (* --- corrupted snapshots -------------------------------------------------- *)
 
 let corrupt path f =
@@ -168,6 +190,74 @@ let test_missing_file () =
   | exception Snapshot.Error msg ->
       Alcotest.(check bool) "error names the problem" true
         (String.length msg > 0)
+
+(* Fixed-seed mutation of the payload behind a recomputed header: single
+   byte flips and truncations that get past the checksum, so every mutant
+   reaches the shared Wire reader.  Each must load or raise Snapshot.Error
+   — a leaked Wire.Error or any other exception is a codec bug. *)
+
+(* Header: magic 8 | version u32 | flags u32 | payload length i64 |
+   fingerprint str | checksum str (32 hex chars), then the payload. *)
+let split_snapshot data =
+  let fp_len = Int32.to_int (String.get_int32_le data 24) in
+  let body_at = 28 + fp_len + 4 + 32 in
+  let reheader body =
+    let buf = Buffer.create (body_at + String.length body) in
+    Buffer.add_string buf (String.sub data 0 16);
+    Topo_core.Wire.w_i64 buf (String.length body);
+    Topo_core.Wire.w_str buf (String.sub data 28 fp_len);
+    Topo_core.Wire.w_str buf (Digest.to_hex (Digest.string body));
+    Buffer.add_string buf body;
+    Buffer.contents buf
+  in
+  (String.sub data body_at (String.length data - body_at), reheader)
+
+let test_mutated_payloads () =
+  let engine = Lazy.force paper_engine in
+  with_temp_snapshot engine (fun path ->
+      let data = read_file path in
+      let body, reheader = split_snapshot data in
+      Alcotest.(check string) "reheader reproduces the file" data (reheader body);
+      let rng = Topo_util.Prng.create 14 in
+      let n = String.length body in
+      let header_len = String.length data - n in
+      (* Every cut inside the header as well: those stop in the header
+         fields, before any checksum applies. *)
+      let header_cuts = List.init header_len (fun len -> String.sub data 0 len) in
+      let mutants =
+        List.init 300 (fun i ->
+            if i mod 4 = 3 then String.sub body 0 (Topo_util.Prng.int rng n)
+            else
+              let b = Bytes.of_string body in
+              let off = Topo_util.Prng.int rng n in
+              let x = 1 + Topo_util.Prng.int rng 255 in
+              Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor x));
+              Bytes.to_string b)
+      in
+      let mutant_path = Filename.temp_file "toposearch_test_mutant" ".bin" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove mutant_path with Sys_error _ -> ())
+        (fun () ->
+          let flips_rejected = ref 0 in
+          List.iteri
+            (fun i file ->
+              let oc = open_out_bin mutant_path in
+              output_string oc file;
+              close_out oc;
+              let truncated = String.length file < header_len + n in
+              match Snapshot.load mutant_path with
+              | (_ : Engine.t) ->
+                  (* A flip in base-table data can decode to a valid engine;
+                     a truncated payload has lost its end marker. *)
+                  if truncated then Alcotest.failf "truncated mutant %d loaded" i
+              | exception Snapshot.Error msg ->
+                  if not truncated then incr flips_rejected;
+                  if contains ~needle:"checksum mismatch" msg then
+                    Alcotest.failf "mutant %d stopped at the checksum: %s" i msg
+              | exception Wire.Error msg -> Alcotest.failf "mutant %d leaked Wire.Error %S" i msg
+              | exception e -> Alcotest.failf "mutant %d raised %s" i (Printexc.to_string e))
+            (header_cuts @ List.map reheader mutants);
+          Alcotest.(check bool) "flips reach the decoder's checks" true (!flips_rejected > 0)))
 
 (* --- store build vs the naive quadratic reference ------------------------- *)
 
@@ -239,11 +329,14 @@ let suites =
         Alcotest.test_case "generated instance: tables, indexes, registry" `Quick
           test_generated_roundtrip_details;
         QCheck_alcotest.to_alcotest prop_generated_roundtrip;
+        Alcotest.test_case "save (load f) is byte-identical to f" `Quick test_resave_identity;
       ] );
     ( "snapshot.corruption",
       [
         Alcotest.test_case "planted corruptions all rejected" `Quick test_corruptions;
         Alcotest.test_case "missing file is a Snapshot.Error" `Quick test_missing_file;
+        Alcotest.test_case "mutated payloads load or raise Snapshot.Error" `Quick
+          test_mutated_payloads;
       ] );
     ( "snapshot.store",
       [

@@ -221,6 +221,37 @@ let test_reader_bounds () =
   ignore (Wire.r_u8 r2 "first");
   expect_error "trailing bytes rejected" (fun () -> Wire.r_end r2)
 
+(* Fixed-seed mutation of batch payloads inside freshly checksummed
+   frames, so every mutant reaches the shared reader: each must decode or
+   raise Wire.Error, never anything else. *)
+let test_mutated_batches () =
+  let rand = Random.State.make [| 14 |] in
+  let reqs = List.init 8 (fun _ -> QCheck.Gen.generate1 ~rand gen_request) in
+  let outcomes = List.init 8 (fun _ -> QCheck.Gen.generate1 ~rand gen_outcome) in
+  let rng = Topo_util.Prng.create 14 in
+  let mutate payload =
+    let n = String.length payload in
+    if Topo_util.Prng.int rng 4 = 0 then String.sub payload 0 (Topo_util.Prng.int rng n)
+    else
+      let b = Bytes.of_string payload in
+      let off = Topo_util.Prng.int rng n in
+      let x = 1 + Topo_util.Prng.int rng 255 in
+      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor x));
+      Bytes.to_string b
+  in
+  let fuzz name ~kind payload decode =
+    for i = 1 to 300 do
+      match decode (snd (Wire.decode_frame (Wire.frame ~kind (mutate payload)))) with
+      | (_ : int) -> ()
+      | exception Wire.Error _ -> ()
+      | exception e -> Alcotest.failf "%s mutant %d raised %s" name i (Printexc.to_string e)
+    done
+  in
+  fuzz "request batch" ~kind:Wire.kind_batch_request (Request.batch_to_payload reqs) (fun p ->
+      List.length (Request.batch_of_payload p));
+  fuzz "outcome batch" ~kind:Wire.kind_batch_outcome (Request.outcomes_to_payload outcomes)
+    (fun p -> List.length (Request.outcomes_of_payload p))
+
 (* --- k >= 1 at every entry point -------------------------------------------- *)
 
 (* The CLI binary, a dependency of this test (see test/dune); dune runs
@@ -444,6 +475,60 @@ let test_router_survives_killed_shard () =
                       (Serve.fingerprint [ d ]))
                 healthy degraded)))
 
+(* The shard speaks batches only: a single [request] frame drops that
+   connection, while other connections — open or new — keep working. *)
+let test_shard_rejects_single_request_frame () =
+  let engine =
+    Engine.build (Biozon.Paper_db.catalog ()) ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:50 ()
+  in
+  let catalog = engine.Engine.ctx.Context.catalog in
+  let req =
+    Request.make Engine.Fast_top_k
+      (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "DNA"))
+  in
+  let local =
+    Serve.fingerprint (Serve.exec (Serve.config ~jobs:1 ()) engine [ req ]).Serve.outcomes
+  in
+  with_temp_dir (fun dir ->
+      let addr = Wire.Unix_sock (Filename.concat dir "s0.sock") in
+      let shard = Shard.start ~serve:(Serve.config ~jobs:1 ()) ~shard:0 addr engine in
+      Fun.protect
+        ~finally:(fun () -> Shard.stop shard)
+        (fun () ->
+          let dial () =
+            let fd = Wire.connect ~read_s:30.0 ~write_s:30.0 addr in
+            (match Wire.recv fd with
+            | Some (kind, _) when kind = Wire.kind_hello -> ()
+            | _ -> Alcotest.fail "expected a hello frame");
+            fd
+          in
+          let batch name fd =
+            Wire.send fd ~kind:Wire.kind_batch_request (Request.batch_to_payload [ req ]);
+            match Wire.recv fd with
+            | Some (kind, payload) when kind = Wire.kind_batch_outcome ->
+                Alcotest.(check string)
+                  (name ^ " answers like single-process serving")
+                  local
+                  (Serve.fingerprint (Request.outcomes_of_payload payload))
+            | _ -> Alcotest.failf "%s: expected a batch-outcome frame" name
+          in
+          let kept = dial () and dropped = dial () in
+          Fun.protect
+            ~finally:(fun () -> List.iter Unix.close [ kept; dropped ])
+            (fun () ->
+              let _, payload = Wire.decode_frame (Request.to_wire req) in
+              Wire.send dropped ~kind:Wire.kind_request payload;
+              (match Wire.recv dropped with
+              | None | (exception Wire.Error _) -> ()
+              | Some (kind, _) ->
+                  Alcotest.failf "a single request frame was answered with a %s frame"
+                    (Wire.kind_name kind));
+              batch "the other open connection" kept;
+              let fresh = dial () in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fresh)
+                (fun () -> batch "a new connection" fresh))))
+
 let suites =
   [
     ( "wire.codec",
@@ -458,6 +543,8 @@ let suites =
         Alcotest.test_case "malformed frames are rejected" `Quick test_frame_rejections;
         Alcotest.test_case "reader bounds checks" `Quick test_reader_bounds;
         Alcotest.test_case "k < 1 rejected at every entry point" `Quick test_k_validated;
+        Alcotest.test_case "mutated batch payloads decode or raise Wire.Error" `Quick
+          test_mutated_batches;
       ] );
     ( "wire.shards",
       [
@@ -465,5 +552,7 @@ let suites =
         Alcotest.test_case "slices and manifest round-trip" `Quick test_slice_manifest_roundtrip;
         Alcotest.test_case "router == single process" `Quick test_router_end_to_end;
         Alcotest.test_case "router survives a killed shard" `Quick test_router_survives_killed_shard;
+        Alcotest.test_case "a single request frame drops only its connection" `Quick
+          test_shard_rejects_single_request_frame;
       ] );
   ]
