@@ -796,6 +796,9 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
     (match stats.Serve.throughput_qps with
     | Some qps -> Printf.sprintf "%.1f queries/s" qps
     | None -> "throughput not measurable (batch under clock resolution)");
+  (* One comparable line for the whole batch: answers, -Opt strategies and
+     work counters, so two builds can be checked for identical outcomes. *)
+  Printf.printf "fingerprint: %s\n" (Digest.to_hex (Digest.string (Serve.fingerprint outcomes)));
   (match stats.Serve.cache with
   | Some c ->
       let r = c.Topo_core.Cache.results in

@@ -68,8 +68,7 @@ let scan_endpoint (e : Query.endpoint) alias =
 
 (* sigma(A) |x| fact |x| sigma(B) -> distinct TID.  Fact tables are
    (E1, E2, TID). *)
-let tids_plan ctx aligned ~fact =
-  let a_arity = Schema.arity (Table.schema (Catalog.find ctx.Context.catalog aligned.ea.Query.entity)) in
+let tids_plan aligned ~fact =
   let join_a =
     Physical.HashJoin
       {
@@ -93,7 +92,6 @@ let tids_plan ctx aligned ~fact =
         residual = None;
       }
   in
-  ignore a_arity;
   Physical.Distinct (Physical.Project { input = join_b; cols = [ 2 ] })
 
 let run_tids ?(check = false) ?trace ctx plan =
@@ -200,7 +198,7 @@ let full_top ?check ?trace ctx aligned =
   let plan =
     sp ?trace "build_plan"
       ~tags:[ ("fact", aligned.store.Store.alltops) ]
-      (fun () -> tids_plan ctx aligned ~fact:aligned.store.Store.alltops)
+      (fun () -> tids_plan aligned ~fact:aligned.store.Store.alltops)
   in
   run_tids ?check ?trace ctx plan
 
@@ -208,7 +206,7 @@ let fast_top ?check ?trace ctx aligned =
   let plan =
     sp ?trace "build_plan"
       ~tags:[ ("fact", aligned.store.Store.lefttops) ]
-      (fun () -> tids_plan ctx aligned ~fact:aligned.store.Store.lefttops)
+      (fun () -> tids_plan aligned ~fact:aligned.store.Store.lefttops)
   in
   let base = run_tids ?check ?trace ctx plan in
   let pr = probe ctx aligned in
@@ -271,8 +269,7 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
 (* ------------------------------------------------------------------ *)
 (* Top-k machinery                                                     *)
 
-let optimizer_spec ctx aligned ~fact ~scheme ~k =
-  ignore ctx;
+let optimizer_spec aligned ~fact ~scheme ~k =
   {
     Optimizer.group_table = aligned.store.Store.topinfo;
     group_key = "TID";
@@ -355,7 +352,7 @@ let merge_with_pruned ?budget pr ~scheme ~k ~next_witness =
 (* Pull-based driver over a DGJ stack: yields one (tid, score) per group
    that produces a witness, in group (score) order. *)
 let et_witness_stream ?(check = false) ?trace ctx aligned ~fact ~scheme ~impls =
-  let spec = optimizer_spec ctx aligned ~fact ~scheme ~k:max_int in
+  let spec = optimizer_spec aligned ~fact ~scheme ~k:max_int in
   let plan =
     sp ?trace "build_et_plan" ~tags:[ ("fact", fact) ] (fun () ->
         Optimizer.et_plan ctx.Context.catalog spec ~impls ~dim_order:[ 0; 1 ])
@@ -405,60 +402,76 @@ let fast_top_k_et ?check ?trace ?budget ctx aligned ~scheme ~k ?(impls = default
   sp_probe ?trace "merge_with_pruned" ~tags:[] pr (fun () ->
       merge_with_pruned ?budget pr ~scheme ~k ~next_witness:next)
 
+(* One request's pricing input: the optimizer spec and its statistics,
+   gathered on first use.  A request that prices twice (an -Opt choice
+   and then its regular branch) reads one gathered value; one answered
+   from the plan tier gathers nothing. *)
+type pricing = { spec : Optimizer.spec; stats : Optimizer.stats Lazy.t }
+
+let pricing ctx aligned ~fact ~scheme ~k =
+  let spec = optimizer_spec aligned ~fact ~scheme ~k in
+  { spec; stats = lazy (Optimizer.gather ctx.Context.catalog spec) }
+
 (* Plan-tier memoization of the optimizer's pricing searches.  The tier
    stays active under [~check:true]: a [Regular_plan] hit is re-run
    through Plan_check against the live catalog before it is served (see
    Cache.find_plan), so verification covers memoized plans too and a
    corrupted entry fails loudly instead of silently executing. *)
-let regular_plan_cached ?cache ~check ctx spec =
+let regular_plan_cached ?cache ~check ctx pricing =
+  let price () =
+    Optimizer.regular_plan ~check ctx.Context.catalog pricing.spec (Lazy.force pricing.stats)
+  in
   match cache with
   | Some c -> (
-      let key = Cache.plan_key ~tag:"regular" spec in
+      let key = Cache.plan_key ~tag:"regular" pricing.spec in
       let chk = if check then Some ctx.Context.catalog else None in
       match Cache.find_plan ?check:chk c ~key with
       | Some (Cache.Regular_plan (plan, cost)) -> (plan, cost)
       | Some (Cache.Choice _) | None ->
           let stamp = Cache.stamp c in
-          let plan, cost = Optimizer.regular_plan ~check ctx.Context.catalog spec in
+          let plan, cost = price () in
           Cache.add_plan c ~key ~stamp (Cache.Regular_plan (plan, cost));
           (plan, cost))
-  | None -> Optimizer.regular_plan ~check ctx.Context.catalog spec
+  | None -> price ()
 
 (* A [Choice] entry records only the regular-vs-ET pick — there is no
    plan to re-verify — so checked runs bypass the tier and re-price,
    re-verifying every candidate the pricer visits. *)
-let choose_cached ?cache ~check ctx spec =
+let choose_cached ?cache ~check ctx pricing =
+  let price () =
+    (Optimizer.choose ~check ctx.Context.catalog pricing.spec (Lazy.force pricing.stats))
+      .Optimizer.strategy
+  in
   match cache with
   | Some c when not check -> (
-      let key = Cache.plan_key ~tag:"choose" spec in
+      let key = Cache.plan_key ~tag:"choose" pricing.spec in
       match Cache.find_plan c ~key with
       | Some (Cache.Choice strategy) -> strategy
       | Some (Cache.Regular_plan _) | None ->
           let stamp = Cache.stamp c in
-          let strategy = (Optimizer.choose ~check ctx.Context.catalog spec).Optimizer.strategy in
+          let strategy = price () in
           Cache.add_plan c ~key ~stamp (Cache.Choice strategy);
           strategy)
-  | Some _ | None -> (Optimizer.choose ~check ctx.Context.catalog spec).Optimizer.strategy
+  | Some _ | None -> price ()
 
-let regular_topk ?(check = false) ?trace ?cache ctx aligned ~fact ~scheme ~k =
-  let spec = optimizer_spec ctx aligned ~fact ~scheme ~k in
+let regular_topk ~check ?trace ?cache ctx pricing =
   let plan, _cost =
-    sp ?trace "optimize" ~tags:[ ("fact", fact) ] (fun () ->
-        regular_plan_cached ?cache ~check ctx spec)
+    sp ?trace "optimize"
+      ~tags:[ ("fact", pricing.spec.Optimizer.fact_table) ]
+      (fun () -> regular_plan_cached ?cache ~check ctx pricing)
   in
   sp ?trace "execute" (fun () ->
       Physical.run ctx.Context.catalog plan
       |> List.map (fun tuple -> (Value.as_int tuple.(0), Value.as_float tuple.(1))))
 
-let full_top_k ?check ?trace ?cache ctx aligned ~scheme ~k =
-  regular_topk ?check ?trace ?cache ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k
+let full_top_k ?(check = false) ?trace ?cache ctx aligned ~scheme ~k =
+  regular_topk ~check ?trace ?cache ctx
+    (pricing ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k)
 
-let fast_top_k ?check ?trace ?cache ctx aligned ~scheme ~k =
-  (* SQL4: top-k over LeftTops first; SQL5 checks for pruned topologies
-     whose score could enter the result. *)
-  let base =
-    regular_topk ?check ?trace ?cache ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k
-  in
+(* SQL4: top-k over LeftTops first ([pricing] is over LeftTops); SQL5
+   checks for pruned topologies whose score could enter the result. *)
+let fast_top_k_priced ~check ?trace ?cache ctx aligned pricing ~scheme ~k =
+  let base = regular_topk ~check ?trace ?cache ctx pricing in
   let kth_score =
     if List.length base >= k then List.fold_left (fun acc (_, s) -> Float.min acc s) infinity base
     else neg_infinity
@@ -483,34 +496,42 @@ let fast_top_k ?check ?trace ?cache ctx aligned ~scheme ~k =
   let merged = sort_desc (base @ extra) in
   List.filteri (fun i _ -> i < k) merged
 
+let fast_top_k ?(check = false) ?trace ?cache ctx aligned ~scheme ~k =
+  fast_top_k_priced ~check ?trace ?cache ctx aligned
+    (pricing ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k)
+    ~scheme ~k
+
 let strategy_name = function
   | Optimizer.Regular -> "regular"
   | Optimizer.Early_termination -> "early-termination"
 
-let choose_strategy ~check ?trace ?cache ctx spec =
+let choose_strategy ~check ?trace ?cache ctx pricing =
   match trace with
-  | None -> choose_cached ?cache ~check ctx spec
+  | None -> choose_cached ?cache ~check ctx pricing
   | Some t ->
       let span = Topo_obs.Trace.start t "choose" in
       let strategy =
         Fun.protect
           ~finally:(fun () -> Topo_obs.Trace.finish t span)
-          (fun () -> choose_cached ?cache ~check ctx spec)
+          (fun () -> choose_cached ?cache ~check ctx pricing)
       in
       Topo_obs.Trace.add_tag span "strategy" (strategy_name strategy);
       strategy
 
+(* The -Opt methods price through one [pricing]: the choice and, when it
+   picks the regular plan, that plan's search read the same statistics. *)
 let full_top_k_opt ?(check = false) ?trace ?cache ?budget ctx aligned ~scheme ~k =
-  let spec = optimizer_spec ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k in
-  match choose_strategy ~check ?trace ?cache ctx spec with
-  | Optimizer.Regular -> (full_top_k ~check ?trace ?cache ctx aligned ~scheme ~k, Optimizer.Regular)
+  let pricing = pricing ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k in
+  match choose_strategy ~check ?trace ?cache ctx pricing with
+  | Optimizer.Regular -> (regular_topk ~check ?trace ?cache ctx pricing, Optimizer.Regular)
   | Optimizer.Early_termination ->
       (full_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k (), Optimizer.Early_termination)
 
 let fast_top_k_opt ?(check = false) ?trace ?cache ?budget ctx aligned ~scheme ~k =
-  let spec = optimizer_spec ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k in
-  match choose_strategy ~check ?trace ?cache ctx spec with
-  | Optimizer.Regular -> (fast_top_k ~check ?trace ?cache ctx aligned ~scheme ~k, Optimizer.Regular)
+  let pricing = pricing ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k in
+  match choose_strategy ~check ?trace ?cache ctx pricing with
+  | Optimizer.Regular ->
+      (fast_top_k_priced ~check ?trace ?cache ctx aligned pricing ~scheme ~k, Optimizer.Regular)
   | Optimizer.Early_termination ->
       (fast_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k (), Optimizer.Early_termination)
 

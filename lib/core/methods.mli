@@ -119,8 +119,11 @@ val fast_top_k_et :
   Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> ?impls:[ `I | `H ] list -> unit -> (int * float) list
 
 (** The cost-based choices; also return which strategy the optimizer
-    picked.  [budget] reaches only the early-termination branch — a
-    regular plan runs to completion. *)
+    picked.  The choice and, when it picks the regular plan, that plan's
+    search price from one set of statistics gathered for the request
+    ({!Topo_sql.Optimizer.gather}); what the plan tier answers is not
+    priced and gathers nothing.  [budget] reaches only the
+    early-termination branch — a regular plan runs to completion. *)
 val full_top_k_opt :
   ?check:bool ->
   ?trace:Topo_obs.Trace.t ->

@@ -108,41 +108,51 @@ let group_params input =
   let x, delta, ec_at = ec_machinery input.levels in
   let x1 = if n = 0 then 1.0 else x.(0) in
   let delta1 = if n = 0 then 0.0 else delta.(0) in
+  let params card =
+    let cardf = float_of_int card in
+    let np = Float.pow (1.0 -. x1) cardf in
+    (* Theorem 3: cost of exhausting the group without a result, weighted
+       by its probability. *)
+    let nc = np *. cardf *. delta1 in
+    let ec = if n = 0 then 0.0 else ec_at 0 card in
+    (np, nc +. input.per_group_overhead, ec)
+  in
+  (* The parameters depend on the card alone; groups repeat few distinct
+     cards, so each is computed once. *)
+  let by_card = Hashtbl.create 16 in
   Array.map
     (fun card ->
-      let cardf = float_of_int card in
-      let np = Float.pow (1.0 -. x1) cardf in
-      (* Theorem 3: cost of exhausting the group without a result, weighted
-         by its probability. *)
-      let nc = np *. cardf *. delta1 in
-      let ec = if n = 0 then 0.0 else ec_at 0 card in
-      (np, nc +. input.per_group_overhead, ec))
+      match Hashtbl.find_opt by_card card with
+      | Some p -> p
+      | None ->
+          let p = params card in
+          Hashtbl.add by_card card p;
+          p)
     input.cards
 
-let expected_cost input =
-  let params = group_params input in
+(* E[Z^k'_{l:m}] of Theorem 1 by dynamic programming over (group,
+   remaining k'), from the last group up; E = 0 when l > m or k' = 0.
+   Row l reads only row l+1, so two rows suffice: row l lives in
+   [rows.(l land 1)].  Column 0 is never written and stays 0. *)
+let dp ~k params =
   let m = Array.length params in
-  let k = input.k in
-  (* E[Z^k'_{l:m}] by DP; E = 0 when l > m or k' = 0 (Theorem 1). *)
-  let dp = Array.make_matrix (m + 1) (k + 1) 0.0 in
-  for l = m - 1 downto 0 do
-    for k' = 1 to k do
+  if m = 0 || k = 0 then 0.0
+  else begin
+    let rows = Array.make_matrix 2 (k + 1) 0.0 in
+    for l = m - 1 downto 0 do
       let np, nc, ec = params.(l) in
-      dp.(l).(k') <-
-        ec +. ((1.0 -. np) *. dp.(l + 1).(k' - 1)) +. nc +. (np *. dp.(l + 1).(k'))
-    done
-  done;
-  if m = 0 || k = 0 then 0.0 else dp.(0).(k)
+      let next = rows.((l + 1) land 1) in
+      for k' = 1 to k do
+        rows.(l land 1).(k') <- ec +. ((1.0 -. np) *. next.(k' - 1)) +. nc +. (np *. next.(k'))
+      done
+    done;
+    rows.(0).(k)
+  end
 
+let expected_cost input = dp ~k:input.k (group_params input)
+
+(* The same recurrence with every opened group costing 1 and nothing
+   else: (1 + a) + 0 is exactly 1 + a, so this is the expected number of
+   groups opened. *)
 let expected_groups_examined input =
-  let params = group_params input in
-  let m = Array.length params in
-  let k = input.k in
-  let dp = Array.make_matrix (m + 1) (k + 1) 0.0 in
-  for l = m - 1 downto 0 do
-    for k' = 1 to k do
-      let np, _, _ = params.(l) in
-      dp.(l).(k') <- 1.0 +. ((1.0 -. np) *. dp.(l + 1).(k' - 1)) +. (np *. dp.(l + 1).(k'))
-    done
-  done;
-  if m = 0 || k = 0 then 0.0 else dp.(0).(k)
+  dp ~k:input.k (Array.map (fun (np, _, _) -> (np, 0.0, 1.0)) (group_params input))

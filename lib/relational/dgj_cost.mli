@@ -40,14 +40,16 @@ val hit_probabilities : level array -> float array
 val probe_costs : level array -> float array
 
 (** [group_params input] is the per-group [(np_i, nc_i, ec_i)] of Theorems
-    2-4. *)
+    2-4, computed once per distinct card (groups with equal cards share
+    them). *)
 val group_params : input -> (float * float * float) array
 
 (** [expected_cost input] is E[Z^k_{1:m}] of Theorem 1, computed by dynamic
-    programming over (group, remaining-k). *)
+    programming over (group, remaining-k), two rows at a time. *)
 val expected_cost : input -> float
 
 (** [expected_groups_examined input] is the expected number of groups the
-    plan opens before finding [k] results (diagnostic; reported by the
-    optimizer's explain output). *)
+    plan opens before finding [k] results: the same dynamic program with
+    every opened group costing 1 (a diagnostic; pricing does not use
+    it). *)
 val expected_groups_examined : input -> float

@@ -15,27 +15,32 @@ let bool_value b = if b then Value.Int 1 else Value.Int 0
 let is_word_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
+(* [keyword] from [j] on equals [text] from [i + j] on, compared
+   case-folded one character at a time.  Top-level and closure-free, so
+   the scan allocates nothing. *)
+let rec folded_at keyword text i j klen =
+  j = klen
+  || Char.lowercase_ascii (String.unsafe_get text (i + j))
+     = Char.lowercase_ascii (String.unsafe_get keyword j)
+     && folded_at keyword text i (j + 1) klen
+
+(* Try each start [i] in turn: the folded first character [k0], a left
+   boundary, the rest of the keyword, then a right boundary.
+   [is_word_char] is case-invariant, so testing the boundaries on the
+   unfolded text is the same as on the folded.  Every [unsafe_get] is in
+   bounds once [i + klen <= tlen] holds. *)
+let rec keyword_from keyword text k0 i klen tlen =
+  i + klen <= tlen
+  && (Char.lowercase_ascii (String.unsafe_get text i) = k0
+      && (i = 0 || not (is_word_char (String.unsafe_get text (i - 1))))
+      && folded_at keyword text i 1 klen
+      && (i + klen = tlen || not (is_word_char (String.unsafe_get text (i + klen))))
+     || keyword_from keyword text k0 (i + 1) klen tlen)
+
 let keyword_matches ~keyword ~text =
-  let keyword = String.lowercase_ascii keyword in
-  let text = String.lowercase_ascii text in
-  let klen = String.length keyword and tlen = String.length text in
-  if klen = 0 then true
-  else
-    let rec scan from =
-      if from + klen > tlen then false
-      else
-        match String.index_from_opt text from keyword.[0] with
-        | None -> false
-        | Some i ->
-            if i + klen > tlen then false
-            else if
-              String.sub text i klen = keyword
-              && (i = 0 || not (is_word_char text.[i - 1]))
-              && (i + klen = tlen || not (is_word_char text.[i + klen]))
-            then true
-            else scan (i + 1)
-    in
-    scan 0
+  let klen = String.length keyword in
+  klen = 0
+  || keyword_from keyword text (Char.lowercase_ascii keyword.[0]) 0 klen (String.length text)
 
 let apply_cmp op a b =
   if Value.is_null a || Value.is_null b then Value.Null

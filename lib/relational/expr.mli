@@ -44,7 +44,13 @@ val shift_cols : int -> t -> t
 val columns : t -> int list
 
 (** [keyword_matches keyword text] is the primitive behind [Contains]:
-    whole-word, case-insensitive containment. *)
+    whole-word, case-insensitive containment.  Case folding is ASCII only
+    ([Char.lowercase_ascii], applied per character while scanning; other
+    bytes compare as they are).  A word character is an ASCII letter,
+    digit or ['_']; the match must not touch one on either side.  The
+    empty keyword matches every text.  A call allocates nothing: scans,
+    DGJ dimension predicates, pruned checks and selectivity estimates
+    all run through it. *)
 val keyword_matches : keyword:string -> text:string -> bool
 
 (** [to_string expr] for plan display, with [Col i] shown as [#i]. *)

@@ -24,7 +24,6 @@ type decision = {
   strategy : strategy;
   regular_cost : float;
   et_cost : float;
-  explain : string;
 }
 
 (* Abstract cost units: one hash-index probe = 1.0.  Sequential access is
@@ -76,11 +75,65 @@ let join_sel catalog ~ltable ~lcol ~rtable ~rcol =
   Table_stats.join_selectivity ~left:ls ~left_col:(col_pos catalog ltable lcol) ~right:rs
     ~right_col:(col_pos catalog rtable rcol)
 
+let group_cards catalog spec =
+  (* Card_i per group, in descending score order, after the group
+     predicate. *)
+  let gt = Catalog.find catalog spec.group_table in
+  let ft = Catalog.find catalog spec.fact_table in
+  let sorted = Table.ensure_index gt ~kind:Index.Sorted ~cols:[ spec.score_col ] in
+  let fact_idx = Table.ensure_index ft ~kind:Index.Hash ~cols:[ spec.fact_group_col ] in
+  let key_pos = col_pos catalog spec.group_table spec.group_key in
+  let rows = Index.ordered_rows ~desc:true sorted in
+  let cards = Topo_util.Dyn.create () in
+  Array.iter
+    (fun rowno ->
+      let tuple = Table.get gt rowno in
+      let keep = match spec.group_pred with None -> true | Some p -> Expr.truthy p tuple in
+      if keep then Topo_util.Dyn.push cards (Index.probe_count fact_idx [| tuple.(key_pos) |]))
+    rows;
+  Topo_util.Dyn.to_array cards
+
+(* Everything pricing reads from the catalog, gathered once per spec.
+   Relations are numbered 0 = group, 1 = fact, 2.. = dims in spec order;
+   the join graph is a star around the fact relation plus the group-fact
+   edge, so every edge is (0, 1) or (1, i) and [max a b] names it. *)
+type stats = {
+  infos : rel_info array;
+  edge_sels : float array;  (* [edge_sels.(max a b)]: selectivity of edge (a, b) *)
+  cards : int array Lazy.t;  (* [group_cards], forced by the first ET search *)
+}
+
+let gather catalog spec =
+  let dims = Array.of_list spec.dims in
+  let infos =
+    Array.init
+      (2 + Array.length dims)
+      (fun i ->
+        if i = 0 then rel_info catalog ~table:spec.group_table ~alias:"G" ~pred:spec.group_pred
+        else if i = 1 then rel_info catalog ~table:spec.fact_table ~alias:"F" ~pred:None
+        else
+          let d = dims.(i - 2) in
+          rel_info catalog ~table:d.dim_table ~alias:d.dim_alias ~pred:d.dim_pred)
+  in
+  let edge_sels =
+    Array.mapi
+      (fun i _ ->
+        if i = 0 then 1.0
+        else if i = 1 then
+          join_sel catalog ~ltable:spec.group_table ~lcol:spec.group_key ~rtable:spec.fact_table
+            ~rcol:spec.fact_group_col
+        else
+          let d = dims.(i - 2) in
+          join_sel catalog ~ltable:spec.fact_table ~lcol:d.fact_col ~rtable:d.dim_table
+            ~rcol:d.dim_key)
+      infos
+  in
+  { infos; edge_sels; cards = lazy (group_cards catalog spec) }
+
 (* ------------------------------------------------------------------ *)
 (* Regular plans: System-R dynamic program over left-deep join orders  *)
 
-(* Relations are numbered 0 = group, 1 = fact, 2.. = dims; the join graph
-   is a star around the fact relation plus the group-fact edge. *)
+(* Relations are numbered as in [stats]. *)
 
 type dp_state = {
   cost : float;
@@ -93,17 +146,10 @@ type dp_state = {
          Section 5.4.1) *)
 }
 
-let regular_plan ?(check = false) catalog spec =
+let regular_plan ?(check = false) catalog spec stats =
   let dims = Array.of_list spec.dims in
-  let nrels = 2 + Array.length dims in
-  let infos =
-    Array.init nrels (fun i ->
-        if i = 0 then rel_info catalog ~table:spec.group_table ~alias:"G" ~pred:spec.group_pred
-        else if i = 1 then rel_info catalog ~table:spec.fact_table ~alias:"F" ~pred:None
-        else
-          let d = dims.(i - 2) in
-          rel_info catalog ~table:d.dim_table ~alias:d.dim_alias ~pred:d.dim_pred)
-  in
+  let infos = stats.infos in
+  let nrels = Array.length infos in
   (* Join edge between rel a and rel b, as (col-in-a, col-in-b), if any. *)
   let edge a b =
     let named a b =
@@ -114,12 +160,6 @@ let regular_plan ?(check = false) catalog spec =
     match named a b with
     | Some e -> Some e
     | None -> ( match named b a with Some (x, y) -> Some (y, x) | None -> None)
-  in
-  let sel_between a b =
-    match edge a b with
-    | None -> 1.0
-    | Some (ca, cb) ->
-        join_sel catalog ~ltable:infos.(a).table ~lcol:ca ~rtable:infos.(b).table ~rcol:cb
   in
   let scan i =
     let info = infos.(i) in
@@ -164,7 +204,7 @@ let regular_plan ?(check = false) catalog spec =
         let info = infos.(r) in
         let left_pos = offset_of state.order p + col_pos catalog infos.(p).table pcol in
         let rcol_pos = col_pos catalog info.table rcol in
-        let s = sel_between p r in
+        let s = stats.edge_sels.(max p r) in
         let out = state.card *. info.out_rows *. s in
         let order = state.order @ [ r ] in
         (* Streaming-probe hash join and index-NL join both preserve the
@@ -315,44 +355,14 @@ let regular_plan ?(check = false) catalog spec =
 (* ------------------------------------------------------------------ *)
 (* Early-termination plans: grouped scan + DGJ stack                   *)
 
-let group_cards catalog spec =
-  (* Card_i per group, in descending score order, after the group
-     predicate. *)
-  let gt = Catalog.find catalog spec.group_table in
-  let ft = Catalog.find catalog spec.fact_table in
-  let sorted = Table.ensure_index gt ~kind:Index.Sorted ~cols:[ spec.score_col ] in
-  let fact_idx = Table.ensure_index ft ~kind:Index.Hash ~cols:[ spec.fact_group_col ] in
-  let key_pos = col_pos catalog spec.group_table spec.group_key in
-  let rows = Index.ordered_rows ~desc:true sorted in
-  let cards = Topo_util.Dyn.create () in
-  Array.iter
-    (fun rowno ->
-      let tuple = Table.get gt rowno in
-      let keep = match spec.group_pred with None -> true | Some p -> Expr.truthy p tuple in
-      if keep then Topo_util.Dyn.push cards (Index.probe_count fact_idx [| tuple.(key_pos) |]))
-    rows;
-  Topo_util.Dyn.to_array cards
-
-let et_cost_of catalog spec ~cards =
-  (* Dimension statistics are independent of the order/implementation
-     being costed; compute them once and close over them. *)
-  let dims = Array.of_list spec.dims in
-  let dim_stats =
-    Array.map
-      (fun d ->
-        let info = rel_info catalog ~table:d.dim_table ~alias:d.dim_alias ~pred:d.dim_pred in
-        let s =
-          join_sel catalog ~ltable:spec.fact_table ~lcol:d.fact_col ~rtable:d.dim_table ~rcol:d.dim_key
-        in
-        (info, s))
-      dims
-  in
+let et_cost_of spec stats =
+  let cards = Lazy.force stats.cards in
   let avg_card =
     let n = Array.length cards in
     if n = 0 then 1.0
     else Float.max 1.0 (float_of_int (Array.fold_left ( + ) 0 cards) /. float_of_int n)
   in
-  let fact_rows = Table.row_count (Catalog.find catalog spec.fact_table) in
+  let fact_rows = stats.infos.(1).base_rows in
   fun ~impls ~dim_order ->
     let fact_impl, dim_impls =
       match impls with f :: rest -> (f, Array.of_list rest) | [] -> invalid_arg "et_cost_of"
@@ -361,7 +371,7 @@ let et_cost_of catalog spec ~cards =
       Array.of_list
         (List.mapi
            (fun level idx ->
-             let info, s = dim_stats.(idx) in
+             let info = stats.infos.(idx + 2) and s = stats.edge_sels.(idx + 2) in
              let probe_cost =
                match dim_impls.(level) with
                | `I -> c_probe
@@ -434,12 +444,11 @@ let et_plan catalog spec ~impls ~dim_order =
     dim_order;
   !plan
 
-let best_et_plan ?(check = false) catalog spec =
+let best_et_plan ?(check = false) catalog spec stats =
   let n = List.length spec.dims in
   let orders = permutations (List.init n Fun.id) in
   let choices = impl_choices (n + 1) in
-  let cards = group_cards catalog spec in
-  let cost_of = et_cost_of catalog spec ~cards in
+  let cost_of = et_cost_of spec stats in
   let best = ref None in
   List.iter
     (fun dim_order ->
@@ -459,22 +468,14 @@ let best_et_plan ?(check = false) catalog spec =
       if check then Plan_check.check catalog plan;
       Some (plan, cost)
 
-let choose ?(check = false) catalog spec =
-  let reg_plan, reg_cost = regular_plan ~check catalog spec in
-  match best_et_plan ~check catalog spec with
-  | None ->
-      {
-        plan = reg_plan;
-        strategy = Regular;
-        regular_cost = reg_cost;
-        et_cost = infinity;
-        explain = Physical.explain reg_plan;
-      }
+let choose ?(check = false) catalog spec stats =
+  let reg_plan, reg_cost = regular_plan ~check catalog spec stats in
+  match best_et_plan ~check catalog spec stats with
+  | None -> { plan = reg_plan; strategy = Regular; regular_cost = reg_cost; et_cost = infinity }
   | Some (et, et_cost) ->
       if et_cost < reg_cost then
-        { plan = et; strategy = Early_termination; regular_cost = reg_cost; et_cost; explain = Physical.explain et }
-      else
-        { plan = reg_plan; strategy = Regular; regular_cost = reg_cost; et_cost; explain = Physical.explain reg_plan }
+        { plan = et; strategy = Early_termination; regular_cost = reg_cost; et_cost }
+      else { plan = reg_plan; strategy = Regular; regular_cost = reg_cost; et_cost }
 
 let run_topk catalog spec decision =
   match decision.strategy with

@@ -18,7 +18,11 @@
       priced with the {!Dgj_cost} model.
 
     [choose] returns the cheaper plan along with both estimates so callers
-    (and Table 2) can report the optimizer's decision. *)
+    (and Table 2) can report the optimizer's decision.
+
+    Every search prices from a {!stats} value that {!gather} reads from
+    the catalog once per spec; a request that runs several searches over
+    one spec hands them the same value. *)
 
 type dim = {
   dim_table : string;
@@ -46,8 +50,19 @@ type decision = {
   strategy : strategy;
   regular_cost : float;
   et_cost : float;
-  explain : string;
 }
+
+(** The catalog statistics pricing reads for one spec: the row counts
+    and local-predicate selectivities of the group, fact and dimension
+    relations, the join selectivity of each edge of the join graph, and
+    the group cardinalities in score order (computed on the first
+    early-termination search that needs them).  A value belongs to the
+    request that gathered it: it is not shared across requests or
+    domains, and it is only valid while the catalog is unchanged. *)
+type stats
+
+(** [gather catalog spec] reads [spec]'s statistics from the catalog. *)
+val gather : Catalog.t -> spec -> stats
 
 (** [et_plan catalog spec ~impls ~dim_order] builds the DGJ-stack physical
     plan explicitly: [dim_order] permutes [spec.dims] and [impls] chooses
@@ -56,23 +71,23 @@ type decision = {
     plan shapes (the paper's "best and worst plans"). *)
 val et_plan : Catalog.t -> spec -> impls:[ `I | `H ] list -> dim_order:int list -> Physical.t
 
-(** [regular_plan catalog spec] is the best regular plan found by the
+(** [regular_plan catalog spec stats] is the best regular plan found by the
     join-order dynamic program, with its estimated cost.  With [~check:true]
     every candidate the DP prices, and the returned plan, must pass
     {!Plan_check.check} (raises {!Plan_check.Plan_error} otherwise); tests
     run with it on. *)
-val regular_plan : ?check:bool -> Catalog.t -> spec -> Physical.t * float
+val regular_plan : ?check:bool -> Catalog.t -> spec -> stats -> Physical.t * float
 
-(** [best_et_plan catalog spec] enumerates dimension orders and per-level
+(** [best_et_plan catalog spec stats] enumerates dimension orders and per-level
     implementations, pricing each with {!Dgj_cost}; returns the cheapest
     with its cost.  Returns [None] when the fact or group relation is
     empty.  [~check:true] verifies every enumerated candidate and the
     winner. *)
-val best_et_plan : ?check:bool -> Catalog.t -> spec -> (Physical.t * float) option
+val best_et_plan : ?check:bool -> Catalog.t -> spec -> stats -> (Physical.t * float) option
 
-(** [choose catalog spec] runs both searches and picks the cheaper plan.
-    [~check] is forwarded to both searches. *)
-val choose : ?check:bool -> Catalog.t -> spec -> decision
+(** [choose catalog spec stats] runs both searches over [stats] and picks
+    the cheaper plan.  [~check] is forwarded to both searches. *)
+val choose : ?check:bool -> Catalog.t -> spec -> stats -> decision
 
 (** [run_topk catalog spec decision] executes the decision and returns the
     top-k [(group_key_value, score)] pairs in descending score order.  For

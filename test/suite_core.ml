@@ -600,6 +600,87 @@ let prop_probe_oracle =
             [ (t1, t2); (t2, t1) ])
         pairs)
 
+(* --- pricing from one gathered set of statistics --------------------------- *)
+
+module Optimizer = Topo_sql.Optimizer
+
+(* The spec the top-k methods price for [aligned] over [fact]. *)
+let topk_spec (aligned : Methods.aligned) ~fact ~scheme ~k =
+  let dim alias fact_col (e : Query.endpoint) =
+    { Optimizer.dim_table = e.Query.entity; dim_alias = alias; dim_key = "ID"; fact_col; dim_pred = e.Query.pred }
+  in
+  {
+    Optimizer.group_table = aligned.Methods.store.Store.topinfo;
+    group_key = "TID";
+    score_col = Ranking.score_column scheme;
+    group_pred = None;
+    fact_table = fact;
+    fact_group_col = "TID";
+    dims = [ dim "A" "E1" aligned.Methods.ea; dim "B" "E2" aligned.Methods.eb ];
+    k;
+  }
+
+(* A bench-style stream: every pair in both orientations x scheme x k x
+   fact table, endpoints drawn at random.  One gathered value serves
+   [choose] and then [regular_plan], as in an -Opt request that picks the
+   regular plan; each search is also run on statistics of its own.  Plans,
+   costs (bit for bit) and strategies must agree, and the -Opt methods
+   must report the strategy [choose] picks. *)
+let test_pricing_from_gathered_stats () =
+  let cat, engine = Lazy.force synthetic_engine in
+  let ctx = engine.Engine.ctx in
+  let rng = Prng.create 15 in
+  let bits = Int64.bits_of_float in
+  let strategies = Hashtbl.create 2 in
+  let pairs = Hashtbl.fold (fun pair _ acc -> pair :: acc) ctx.Context.stores [] |> List.sort compare in
+  List.iter
+    (fun (t1, t2) ->
+      let store = Engine.store engine ~t1 ~t2 in
+      List.iter
+        (fun (e1, e2) ->
+          List.iter
+            (fun scheme ->
+              List.iter
+                (fun k ->
+                  for _ = 1 to 3 do
+                    let q = Query.make (draw_endpoint rng cat store e1) (draw_endpoint rng cat store e2) in
+                    let aligned = Methods.align ctx q in
+                    List.iter
+                      (fun (fact, opt) ->
+                        let spec = topk_spec aligned ~fact ~scheme ~k in
+                        let what = Printf.sprintf "%s over %s, k=%d" (Query.to_string q) fact k in
+                        let shared = Optimizer.gather cat spec in
+                        let d = Optimizer.choose cat spec shared in
+                        let plan, cost = Optimizer.regular_plan cat spec shared in
+                        let et = Optimizer.best_et_plan cat spec shared in
+                        let own () = Optimizer.gather cat spec in
+                        let plan', cost' = Optimizer.regular_plan cat spec (own ()) in
+                        let et' = Optimizer.best_et_plan cat spec (own ()) in
+                        let d' = Optimizer.choose cat spec (own ()) in
+                        Alcotest.(check string) (what ^ ": regular plan") (Topo_sql.Physical.explain plan')
+                          (Topo_sql.Physical.explain plan);
+                        Alcotest.(check int64) (what ^ ": regular cost") (bits cost') (bits cost);
+                        Alcotest.(check (option int64)) (what ^ ": ET cost")
+                          (Option.map (fun (_, c) -> bits c) et')
+                          (Option.map (fun (_, c) -> bits c) et);
+                        Alcotest.(check bool) (what ^ ": strategy") true
+                          (d.Optimizer.strategy = d'.Optimizer.strategy);
+                        Alcotest.(check int64) (what ^ ": choice's regular cost") (bits cost)
+                          (bits d.Optimizer.regular_cost);
+                        let _, strategy = opt ctx aligned ~scheme ~k in
+                        Alcotest.(check bool) (what ^ ": -Opt strategy") true (strategy = d.Optimizer.strategy);
+                        Hashtbl.replace strategies d.Optimizer.strategy ())
+                      [
+                        (store.Store.alltops, fun ctx aligned -> Methods.full_top_k_opt ctx aligned);
+                        (store.Store.lefttops, fun ctx aligned -> Methods.fast_top_k_opt ctx aligned);
+                      ]
+                  done)
+                [ 5; 10; 20 ])
+            [ Ranking.Freq; Ranking.Rare; Ranking.Domain ])
+        [ (t1, t2); (t2, t1) ])
+    pairs;
+  Alcotest.(check int) "the stream reaches both strategies" 2 (Hashtbl.length strategies)
+
 (* The walker as it was before compiled paths: labels interned per walk and
    a per-walk visited table.  Visits neighbors in adjacency order. *)
 let reference_walk dg (p : Sg.path) ~source ~f =
@@ -745,6 +826,8 @@ let suites =
         Alcotest.test_case "compiled walker = reference walker" `Quick
           test_compiled_walker_matches_reference;
       ] );
+    ( "core.pricing",
+      [ Alcotest.test_case "one gathered set of statistics = one per search" `Quick test_pricing_from_gathered_stats ] );
     ( "core.ranking",
       [
         Alcotest.test_case "names roundtrip" `Quick test_ranking_names_roundtrip;

@@ -110,6 +110,51 @@ let test_probe_costs_accumulate () =
   Alcotest.(check (float 1e-9)) "delta2" 3.0 delta.(1);
   Alcotest.(check (float 1e-9)) "delta1" (2.0 +. (0.5 *. 1.0 *. 3.0)) delta.(0)
 
+(* The full (m+1) x (k+1) tables of Theorem 1, with each group's
+   parameters computed on their own; the rolling-row DP must match them
+   bit for bit. *)
+let reference_dp (input : Dgj_cost.input) ~cell =
+  let params =
+    Array.map
+      (fun card -> (Dgj_cost.group_params { input with Dgj_cost.cards = [| card |] }).(0))
+      input.Dgj_cost.cards
+  in
+  let m = Array.length params and k = input.Dgj_cost.k in
+  let dp = Array.make_matrix (m + 1) (k + 1) 0.0 in
+  for l = m - 1 downto 0 do
+    for k' = 1 to k do
+      dp.(l).(k') <- cell params.(l) dp.(l + 1).(k' - 1) dp.(l + 1).(k')
+    done
+  done;
+  if m = 0 || k = 0 then 0.0 else dp.(0).(k)
+
+let reference_cost =
+  reference_dp ~cell:(fun (np, nc, ec) a b -> ec +. ((1.0 -. np) *. a) +. nc +. (np *. b))
+
+let reference_groups = reference_dp ~cell:(fun (np, _, _) a b -> 1.0 +. ((1.0 -. np) *. a) +. (np *. b))
+
+let gen_dgj_input =
+  let open QCheck.Gen in
+  let level =
+    map
+      (fun (n_inner, probe_cost, pred_sel, join_sel) -> { Dgj_cost.n_inner; probe_cost; pred_sel; join_sel })
+      (quad (int_range 1 2000) (float_range 0.1 50.0) (float_range 0.0 1.0) (float_range 0.0005 0.02))
+  in
+  map
+    (fun (levels, cards, k, per_group_overhead) ->
+      { Dgj_cost.cards = Array.of_list cards; levels = Array.of_list levels; k; per_group_overhead })
+    (quad (list_size (int_range 0 3) level)
+       (list_size (int_range 0 80) (int_range 0 12))
+       (int_range 0 25) (float_range 0.0 100.0))
+
+let prop_rolling_dp_matches_reference =
+  QCheck.Test.make ~name:"rolling-row DP = full-table reference, bit for bit" ~count:300
+    (QCheck.make gen_dgj_input)
+    (fun input ->
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same (Dgj_cost.expected_cost input) (reference_cost input)
+      && same (Dgj_cost.expected_groups_examined input) (reference_groups input))
+
 (* --- Optimizer on randomized mini-databases ---------------------------------- *)
 
 let random_spec_db seed =
@@ -199,16 +244,17 @@ let prop_optimizer_strategies_agree =
       let cat = random_spec_db seed in
       let spec = spec_for k in
       let expected = naive_topk cat k in
-      let reg_plan, _ = Optimizer.regular_plan cat spec in
+      let stats = Optimizer.gather cat spec in
+      let reg_plan, _ = Optimizer.regular_plan cat spec stats in
       let reg =
         Physical.run cat reg_plan
         |> List.map (fun t -> (Value.as_int t.(0), Value.as_float t.(1)))
       in
       let et =
-        match Optimizer.best_et_plan cat spec with
+        match Optimizer.best_et_plan cat spec stats with
         | Some (plan, _) ->
             let decision =
-              { Optimizer.plan; strategy = Optimizer.Early_termination; regular_cost = 0.0; et_cost = 0.0; explain = "" }
+              { Optimizer.plan; strategy = Optimizer.Early_termination; regular_cost = 0.0; et_cost = 0.0 }
             in
             Optimizer.run_topk cat spec decision
             |> List.map (fun (v, s) -> (Value.as_int v, s))
@@ -218,10 +264,11 @@ let prop_optimizer_strategies_agree =
 
 let test_choose_reports_both_costs () =
   let cat = random_spec_db 99 in
-  let d = Optimizer.choose cat (spec_for 3) in
+  let spec = spec_for 3 in
+  let d = Optimizer.choose cat spec (Optimizer.gather cat spec) in
   Alcotest.(check bool) "finite costs" true
     (Float.is_finite d.Optimizer.regular_cost && Float.is_finite d.Optimizer.et_cost);
-  Alcotest.(check bool) "explain non-empty" true (String.length d.Optimizer.explain > 0)
+  Alcotest.(check bool) "explain non-empty" true (String.length (Physical.explain d.Optimizer.plan) > 0)
 
 (* --- histogram corner cases --------------------------------------------------- *)
 
@@ -284,6 +331,7 @@ let suites =
         Alcotest.test_case "probe costs accumulate" `Quick test_probe_costs_accumulate;
         QCheck_alcotest.to_alcotest prop_cost_monotone_in_selectivity;
         QCheck_alcotest.to_alcotest prop_cost_monotone_in_k;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]) prop_rolling_dp_matches_reference;
       ] );
     ( "cost.optimizer",
       [

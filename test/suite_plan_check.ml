@@ -313,8 +313,37 @@ let prop_optimizer_plans_verify =
       let spec = Suite_cost_optimizer.spec_for k in
       (* ~check:true makes the optimizer verify every candidate it prices;
          any Plan_error fails the property. *)
-      let decision = Optimizer.choose ~check:true cat spec in
+      let decision = Optimizer.choose ~check:true cat spec (Optimizer.gather cat spec) in
       Plan_check.verify cat decision.Optimizer.plan = [])
+
+(* A keyword predicate on the dimension's integer column is ill-typed, so
+   every candidate plan carrying it fails verification.  Pricing alone
+   never evaluates it: unchecked searches over gathered statistics
+   succeed, and checked ones must still reject it. *)
+let test_checked_searches_reject_ill_typed () =
+  let cat = Suite_cost_optimizer.random_spec_db 7 in
+  let spec = Suite_cost_optimizer.spec_for 3 in
+  let spec =
+    {
+      spec with
+      Optimizer.dims =
+        List.map (fun d -> { d with Optimizer.dim_pred = Some (Expr.Contains (Expr.Col 0, "x")) }) spec.Optimizer.dims;
+    }
+  in
+  let stats = Optimizer.gather cat spec in
+  ignore (Optimizer.choose cat spec stats);
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: an ill-typed candidate passed" what
+    | exception Plan_check.Plan_error vs ->
+        Alcotest.(check bool)
+          (what ^ ": type mismatch in " ^ Plan_check.report vs)
+          true
+          (has_kind vs (function Plan_check.Type_mismatch _ -> true | _ -> false))
+  in
+  rejects "regular_plan" (fun () -> ignore (Optimizer.regular_plan ~check:true cat spec stats));
+  rejects "best_et_plan" (fun () -> ignore (Optimizer.best_et_plan ~check:true cat spec stats));
+  rejects "choose" (fun () -> ignore (Optimizer.choose ~check:true cat spec stats))
 
 (* --- all nine methods over the paper database with verify_plans ------------ *)
 
@@ -468,6 +497,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_optimizer_plans_verify;
         Alcotest.test_case "all nine methods verify" `Quick test_all_methods_verify_on_paper_db;
         Alcotest.test_case "sql lint clean" `Quick test_sql_lint_clean;
+        Alcotest.test_case "checked searches reject an ill-typed spec" `Quick
+          test_checked_searches_reject_ill_typed;
       ] );
     ( "check.protocol",
       [

@@ -103,6 +103,77 @@ let test_expr_contains_word_boundaries () =
   Alcotest.(check bool) "hyphen boundary" true (m "mms2" "Homo sapiens MMS2 (MMS2) mRNA");
   Alcotest.(check bool) "absent" false (m "kinase" "an enzyme")
 
+(* The matcher before it folded case in place: lowercase copies of both
+   strings, then a [String.sub] per candidate start.  Kept as the
+   reference the allocation-free matcher must agree with. *)
+let reference_keyword_matches ~keyword ~text =
+  let is_word_char c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+  in
+  let keyword = String.lowercase_ascii keyword in
+  let text = String.lowercase_ascii text in
+  let klen = String.length keyword and tlen = String.length text in
+  if klen = 0 then true
+  else
+    let rec scan from =
+      if from + klen > tlen then false
+      else
+        match String.index_from_opt text from keyword.[0] with
+        | None -> false
+        | Some i ->
+            if i + klen > tlen then false
+            else if
+              String.sub text i klen = keyword
+              && (i = 0 || not (is_word_char text.[i - 1]))
+              && (i + klen = tlen || not (is_word_char text.[i + klen]))
+            then true
+            else scan (i + 1)
+    in
+    scan 0
+
+(* Texts built around the keyword: mixed case, word and non-word
+   neighbours on both sides ('_', '-', digits, spaces, non-ASCII bytes),
+   repeated prefixes of the keyword, and empty strings. *)
+let gen_keyword_case =
+  let open QCheck.Gen in
+  let byte = oneofl [ 'a'; 'A'; 'b'; 'B'; 'k'; 'K'; 'z'; '_'; '-'; '0'; '9'; ' '; '.'; '\xc3'; '\xa9'; '\xff'; '\x80' ] in
+  let word n = string_size ~gen:byte (int_bound n) in
+  let flip_case s =
+    map
+      (fun flips -> String.mapi (fun i c -> if List.nth flips (i mod List.length flips) then Char.uppercase_ascii c else c) s)
+      (list_size (int_range 1 4) bool)
+  in
+  word 4 >>= fun keyword ->
+  let piece =
+    frequency
+      [
+        (3, word 3);
+        (3, flip_case keyword);
+        (2, map (fun n -> String.sub keyword 0 (min n (String.length keyword))) (int_bound 4));
+        (1, return "");
+      ]
+  in
+  map (fun pieces -> (keyword, String.concat "" pieces)) (list_size (int_bound 6) piece)
+
+let prop_keyword_matches_reference =
+  QCheck.Test.make ~name:"keyword_matches = lowercase-copy reference" ~count:5000
+    (QCheck.make ~print:(fun (k, t) -> Printf.sprintf "keyword %S text %S" k t) gen_keyword_case)
+    (fun (keyword, text) ->
+      Expr.keyword_matches ~keyword ~text = reference_keyword_matches ~keyword ~text)
+
+let test_keyword_matches_allocates_nothing () =
+  let texts =
+    [| "Homo sapiens MMS2 (MMS2) mRNA"; "ubiquitin-conjugating ENZYME E2 variant"; ""; "enzymes enzyme_x" |]
+  in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    if Expr.keyword_matches ~keyword:"Enzyme" ~text:texts.(i land 3) then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "matches" 2500 !hits;
+  Alcotest.(check bool) (Printf.sprintf "%.0f words allocated by 10000 calls" words) true (words < 100.0)
+
 let test_expr_shift_columns () =
   let e = Expr.And [ Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Col 2); Expr.Contains (Expr.Col 1, "x") ] in
   Alcotest.(check (list int)) "columns" [ 0; 1; 2 ] (Expr.columns e);
@@ -562,7 +633,8 @@ let opt_spec k =
 
 let test_optimizer_regular_plan_correct () =
   let cat = opt_catalog () in
-  let plan, _cost = Optimizer.regular_plan cat (opt_spec 5) in
+  let spec = opt_spec 5 in
+  let plan, _cost = Optimizer.regular_plan cat spec (Optimizer.gather cat spec) in
   let rows = Physical.run cat plan in
   Alcotest.(check int) "k rows" 5 (List.length rows);
   (* Scores descending. *)
@@ -573,20 +645,15 @@ let test_optimizer_regular_plan_correct () =
 let test_optimizer_et_equals_regular () =
   let cat = opt_catalog () in
   let spec = opt_spec 5 in
-  let reg_plan, _ = Optimizer.regular_plan cat spec in
+  let stats = Optimizer.gather cat spec in
+  let reg_plan, _ = Optimizer.regular_plan cat spec stats in
   let reg = Physical.run cat reg_plan in
   let reg_tids = List.map (fun t -> Value.as_int (Tuple.get t 0)) reg in
-  match Optimizer.best_et_plan cat spec with
+  match Optimizer.best_et_plan cat spec stats with
   | None -> Alcotest.fail "no ET plan"
-  | Some (_, _) ->
+  | Some (plan, _) ->
       let decision =
-        {
-          Optimizer.plan = (match Optimizer.best_et_plan cat spec with Some (p, _) -> p | None -> assert false);
-          strategy = Optimizer.Early_termination;
-          regular_cost = 0.0;
-          et_cost = 0.0;
-          explain = "";
-        }
+        { Optimizer.plan; strategy = Optimizer.Early_termination; regular_cost = 0.0; et_cost = 0.0 }
       in
       let et = Optimizer.run_topk cat spec decision in
       let et_tids = List.map (fun (v, _) -> Value.as_int v) et in
@@ -595,7 +662,7 @@ let test_optimizer_et_equals_regular () =
 let test_optimizer_choose_runs () =
   let cat = opt_catalog () in
   let spec = opt_spec 3 in
-  let decision = Optimizer.choose cat spec in
+  let decision = Optimizer.choose cat spec (Optimizer.gather cat spec) in
   let results = Optimizer.run_topk cat spec decision in
   Alcotest.(check int) "k results" 3 (List.length results);
   Alcotest.(check bool) "costs computed" true
@@ -623,6 +690,9 @@ let suites =
         Alcotest.test_case "keyword containment" `Quick test_expr_contains_word_boundaries;
         Alcotest.test_case "shift columns" `Quick test_expr_shift_columns;
         Alcotest.test_case "conj flattens" `Quick test_expr_conj_flattens;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]) prop_keyword_matches_reference;
+        Alcotest.test_case "keyword_matches allocates nothing" `Quick
+          test_keyword_matches_allocates_nothing;
       ] );
     ( "rel.table",
       [
